@@ -1,11 +1,10 @@
-"""Fleet load test — the shard router under concurrent mixed traffic.
+"""Service load test — one daemon under concurrent mixed traffic.
 
-Boots a real two-worker fleet behind a real shard router (the exact
-stack ``repro-mergesort serve --shards 2`` runs, on loopback ephemeral
-ports) and fires ≥1000 concurrent mixed requests at it — simulates and
-sweeps drawn from a deliberately skewed key distribution, so identical
-requests collide in flight and the two-tier single-flight coalescing
-is exercised fleet-wide, plus a couple of chunked job manifests driven
+Boots a real daemon (the stack ``repro-mergesort serve`` runs, on a
+loopback ephemeral port) and fires ≥1000 concurrent mixed requests at
+it — simulates and sweeps drawn from a deliberately skewed key
+distribution, so identical requests collide in flight and single-flight
+coalescing is exercised, plus a couple of chunked job manifests driven
 through ``POST /jobs`` to completion.
 
 Recorded into the ``REPRO_BENCH_JSON`` trajectory document (committed
@@ -14,8 +13,8 @@ baseline ``BENCH_simulator.json``, CI gate
 
 * ``service_load`` — ``seconds`` is the p50 request latency under
   load; ``p95_seconds``/``p99_seconds`` carry the tail, and
-  ``coalesce_rate`` the fleet-wide fraction of compute requests served
-  by joining an in-flight identical computation instead of executing.
+  ``coalesce_rate`` the fraction of compute requests served by joining
+  an in-flight identical computation instead of executing.
 """
 
 import asyncio
@@ -29,66 +28,52 @@ from conftest import record, record_timing
 
 from repro.errors import BackpressureError
 from repro.service.client import ServiceClient
-from repro.service.server import ServiceConfig
-from repro.service.shard import RouterConfig, ShardFleet, run_router
+from repro.service.server import ServiceConfig, run_service
 from repro.sort.config import SortConfig
 from repro.sort.serialize import config_to_obj
 
-#: Total compute requests fired at the router (the issue floor is 1000).
+#: Total compute requests fired at the daemon.
 TOTAL_REQUESTS = 1000
 
-#: Client threads issuing them (in-flight bound, below the router gate).
+#: Client threads issuing them (in-flight bound, within the daemon gate).
 CONCURRENCY = 16
-
-SHARDS = 2
 
 CFG = SortConfig(elements_per_thread=3, block_size=32, warp_size=32)
 CFG_OBJ = config_to_obj(CFG)
 
 
-def _start_fleet():
-    """Boot workers + router; returns a handle with ``close()``."""
-    fleet = ShardFleet(
-        ServiceConfig(
-            port=0,
-            queue_limit=CONCURRENCY,
-            request_timeout=120.0,
-            drain_timeout=15.0,
-        ),
-        SHARDS,
-    ).start()
+def _start_service():
+    """Boot the daemon; returns a handle with ``close()``."""
+    config = ServiceConfig(
+        port=0,
+        queue_limit=CONCURRENCY,
+        request_timeout=120.0,
+        drain_timeout=15.0,
+    )
     holder = {}
     ready = threading.Event()
 
     def runner():
         holder["drained"] = asyncio.run(
-            run_router(
-                RouterConfig(
-                    port=0,
-                    queue_limit=CONCURRENCY * 2,
-                    request_timeout=120.0,
-                    forward_timeout=110.0,
-                    drain_timeout=15.0,
-                ),
-                fleet.urls,
-                on_started=lambda r: (holder.update(router=r), ready.set()),
+            run_service(
+                config,
+                on_started=lambda s: (holder.update(service=s), ready.set()),
             )
         )
 
     thread = threading.Thread(target=runner, daemon=True)
     thread.start()
-    assert ready.wait(30), "router failed to start"
-    router = holder["router"]
+    assert ready.wait(30), "service failed to start"
+    service = holder["service"]
 
     def close():
-        router.request_shutdown()
+        service.request_shutdown()
         thread.join(60)
-        fleet.stop()
-        assert not thread.is_alive(), "router thread failed to exit"
+        assert not thread.is_alive(), "service thread failed to exit"
 
     return SimpleNamespace(
-        fleet=fleet, router=router, close=close,
-        url=f"http://127.0.0.1:{router.port}",
+        service=service, close=close,
+        url=f"http://127.0.0.1:{service.port}",
     )
 
 
@@ -97,7 +82,7 @@ def _request_plan(rng):
 
     A Zipf-ish skew (a few hot fingerprints drawn often, a long tail of
     distinct ones) is what makes coalescing measurable: hot keys
-    collide in flight, tail keys spread across both shards.
+    collide in flight, tail keys keep the daemon computing.
     """
     simulate_variants = [
         {"input": name, "tiles": tiles, "seed": seed}
@@ -192,7 +177,7 @@ def _percentile(latencies, q):
 
 
 def test_service_load(benchmark):
-    handle = _start_fleet()
+    handle = _start_service()
     state = {}
 
     def run_load():
@@ -230,27 +215,24 @@ def test_service_load(benchmark):
     p95 = _percentile(latencies, 0.95)
     p99 = _percentile(latencies, 0.99)
 
-    # Fleet-wide coalesce rate, from the router's own single flight.
-    batching = handle.router.stats.snapshot()["batching"]
+    # Coalesce rate, from the daemon's single flight.
+    batching = handle.service.stats.snapshot()["batching"]
     executed = batching["primary"]
     coalesced = batching["coalesced"]
     rate = coalesced / max(1, executed + coalesced)
-    per_shard = dict(handle.router.shard_requests)
     handle.close()
 
-    # Both shards served traffic, and the skewed plan measurably
-    # coalesced: far fewer executions than requests, fleet-wide.
-    assert all(count > 0 for count in per_shard.values()), per_shard
+    # The skewed plan measurably coalesced: fewer executions than
+    # requests.
     assert executed + coalesced >= TOTAL_REQUESTS
-    assert coalesced > 0, "no fleet-wide coalescing under concurrent load"
+    assert coalesced > 0, "no coalescing under concurrent load"
 
     record(
-        f"Service fleet load: {TOTAL_REQUESTS} mixed requests, "
-        f"{SHARDS} shards, {CONCURRENCY} clients in {state['wall']:.2f}s",
+        f"Service load: {TOTAL_REQUESTS} mixed requests, "
+        f"{CONCURRENCY} clients in {state['wall']:.2f}s",
         f"  latency p50={p50 * 1e3:.1f}ms p95={p95 * 1e3:.1f}ms "
         f"p99={p99 * 1e3:.1f}ms",
-        f"  coalesced {coalesced}/{executed + coalesced} "
-        f"({rate:.0%}) fleet-wide; per-shard forwards {per_shard}",
+        f"  coalesced {coalesced}/{executed + coalesced} ({rate:.0%})",
     )
     record_timing(
         "service_load",
@@ -258,7 +240,6 @@ def test_service_load(benchmark):
         p95_seconds=round(p95, 6),
         p99_seconds=round(p99, 6),
         requests=TOTAL_REQUESTS,
-        shards=SHARDS,
         concurrency=CONCURRENCY,
         coalesce_rate=round(rate, 4),
         wall_seconds=round(state["wall"], 3),

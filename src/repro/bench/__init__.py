@@ -5,9 +5,6 @@
   simulation budget is synthesized from a calibration run (per-round rates
   are N-independent; round counts and global traffic are analytic), which
   is how the harness reaches the paper's 10⁸-element sweep sizes;
-* :mod:`repro.bench.parallel` — deprecated shim over :mod:`repro.engine`,
-  which owns sweep-point execution (serial, process-pool ``--jobs``, or a
-  served daemon) behind the registered execution engines;
 * :mod:`repro.bench.cache` — content-addressed on-disk cache for bench
   points and calibration rates (``--cache`` / ``--cache-dir``), making
   repeat figure regeneration near-instant;
@@ -21,7 +18,6 @@
 
 from repro.bench.cache import BenchCache, CacheStats
 from repro.bench.metrics import SlowdownStats, slowdown_stats
-from repro.bench.parallel import ProgressEvent, WorkItem, run_points, sweep_items
 from repro.bench.runner import BenchPoint, CalibratedRates, SweepRunner
 
 __all__ = [
@@ -29,11 +25,7 @@ __all__ = [
     "BenchPoint",
     "CacheStats",
     "CalibratedRates",
-    "ProgressEvent",
     "SlowdownStats",
     "SweepRunner",
-    "WorkItem",
-    "run_points",
     "slowdown_stats",
-    "sweep_items",
 ]

@@ -177,18 +177,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--engine", default=None,
-        choices=["inline", "pool", "service", "sharded"],
+        choices=["inline", "pool", "service"],
         help="execution engine: inline (serial; the --jobs 1 default), "
-        "pool (worker processes; the --jobs N default), service (a "
-        "running repro-mergesort serve daemon at --url), or sharded "
-        "(a fleet of daemons, consistent-hashed per request; --url "
-        "takes a comma-separated list). Points are bit-identical "
-        "across all of them",
+        "pool (worker processes; the --jobs N default), or service (a "
+        "running repro-mergesort serve daemon at --url). Points are "
+        "bit-identical across all of them",
     )
     p.add_argument(
         "--url", default="http://127.0.0.1:8787",
-        help="daemon URL for --engine service, or a comma-separated "
-        "shard URL list for --engine sharded (default %(default)s)",
+        help="daemon URL for --engine service (default %(default)s)",
     )
     _add_mitigation_arg(p)
     _add_bench_exec_args(p)
@@ -285,7 +282,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="how long shutdown waits for in-flight work "
                    "(default 60)")
     p.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
-                   help="worker processes for /sweep fan-out (default 1)")
+                   help="worker processes for /sweep and /jobs fan-out; "
+                   "also the chunks one job keeps in flight (default 1)")
     p.add_argument(
         "--cache", action=argparse.BooleanOptionalAction, default=False,
         help="attach the on-disk bench cache to /sweep",
@@ -293,21 +291,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-dir", default=None, metavar="DIR",
                    help="cache location (implies --cache)")
     p.add_argument(
-        "--shards", type=int, default=1, metavar="N",
-        help="run N worker daemons on ephemeral ports behind a "
-        "consistent-hash shard router listening on --port; the default "
-        "1 runs a single daemon on --port with no router",
-    )
-    p.add_argument(
         "--quota-per-minute", type=int, default=0, metavar="N",
         help="per-client compute-request quota (requests/minute, then "
-        "HTTP 429; 0 = unlimited); enforced by the router with "
-        "--shards > 1, by the daemon itself otherwise",
-    )
-    p.add_argument(
-        "--chunk-concurrency", type=int, default=4, metavar="N",
-        help="concurrent chunks per scheduled job manifest "
-        "(--shards > 1 only; default 4)",
+        "HTTP 429; 0 = unlimited)",
     )
 
     p = sub.add_parser(
@@ -355,7 +341,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--mitigations", default=None, metavar="SPECS",
         help="job: comma-separated mitigation specs to cross the sweep "
-        "grid with (the matrix experiment's sharded-service leg; "
+        "grid with (the matrix experiment's service leg; "
         "exclusive with --mitigation)",
     )
     p.add_argument("--max-retries", type=int, default=2,
@@ -551,8 +537,6 @@ def _cmd_sweep(args) -> int:
             kwargs["jobs"] = max(args.jobs, 1)
         elif args.engine == "service":
             kwargs["url"] = args.url
-        elif args.engine == "sharded":
-            kwargs["urls"] = args.url  # comma-separated list accepted
         with create_engine(args.engine, **kwargs) as engine:
             points = engine.run_points(items, progress=progress)
     _print_memo_stats(jobs=args.jobs)
@@ -865,39 +849,21 @@ def _cmd_cache(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    from repro.errors import ValidationError
     from repro.service.server import ServiceConfig, serve_forever
 
-    if args.shards < 1:
-        raise ValidationError(f"--shards must be >= 1, got {args.shards}")
-    single = args.shards == 1
-    config = ServiceConfig(
-        host=args.host,
-        # With a fleet the workers take ephemeral ports; the router owns
-        # the requested port so clients keep one stable address.
-        port=args.port if single else 0,
-        queue_limit=args.queue_limit,
-        request_timeout=args.request_timeout,
-        drain_timeout=args.drain_timeout,
-        jobs=args.jobs,
-        cache_dir=args.cache_dir,
-        use_cache=bool(args.cache or args.cache_dir),
-        quota_per_minute=args.quota_per_minute if single else 0,
+    return serve_forever(
+        ServiceConfig(
+            host=args.host,
+            port=args.port,
+            queue_limit=args.queue_limit,
+            request_timeout=args.request_timeout,
+            drain_timeout=args.drain_timeout,
+            jobs=args.jobs,
+            cache_dir=args.cache_dir,
+            use_cache=bool(args.cache or args.cache_dir),
+            quota_per_minute=args.quota_per_minute,
+        )
     )
-    if single:
-        return serve_forever(config)
-    from repro.service.shard import RouterConfig, serve_fleet
-
-    router = RouterConfig(
-        host=args.host,
-        port=args.port,
-        request_timeout=args.request_timeout,
-        forward_timeout=max(args.request_timeout - 10.0, 1.0),
-        drain_timeout=args.drain_timeout,
-        quota_per_minute=args.quota_per_minute,
-        chunk_concurrency=args.chunk_concurrency,
-    )
-    return serve_fleet(config, router, args.shards)
 
 
 def _request_scoring(args) -> tuple[str | None, bool]:

@@ -137,7 +137,7 @@ class ConflictMemo:
 
     One memo may be shared freely: across the rounds of a sort, the sorts
     of a :class:`~repro.bench.runner.SweepRunner`, the members of a
-    permutation family, or the items a :mod:`repro.bench.parallel` worker
+    permutation family, or the items a :class:`~repro.engine.pool.PoolEngine` worker
     executes. Sharing only ever widens the hit pool — every entry is keyed
     by the full scoring context, so entries from different configurations
     never collide.

@@ -13,13 +13,12 @@
 ``analytic``          closed form (constructed families, O(rounds)/task)
 ``pool``              warm ``ProcessPoolExecutor`` fan-out
 ``service``           a running ``repro-mergesort serve`` daemon
-``sharded``           a fleet of daemons, consistent-hashed per request
 ====================  ====================================================
 
 All of them are bit-identical wherever their inputs overlap — enforced
 by the parametrized ``tests/engine/test_engine_equivalence.py`` suite
 against the loop oracle, which is the correctness gate any future
-engine (sharded service, native kernel) inherits by registering.
+engine inherits by registering.
 
 This ``__init__`` eagerly exposes only the import-light contract
 (:mod:`~repro.engine.base`, :mod:`~repro.engine.registry`); the concrete
@@ -53,7 +52,6 @@ __all__ = [
     "PoolEngine",
     "ProgressEvent",
     "ServiceEngine",
-    "ShardedEngine",
     "SortTask",
     "WorkItem",
     "cache_ref",
@@ -76,7 +74,6 @@ _LAZY = {
     "PoolEngine": "repro.engine.pool",
     "ProgressEvent": "repro.engine.tasks",
     "ServiceEngine": "repro.engine.service",
-    "ShardedEngine": "repro.engine.sharded",
     "WorkItem": "repro.engine.tasks",
     "cache_ref": "repro.engine.tasks",
     "execute_items": "repro.engine.dispatch",

@@ -1,8 +1,8 @@
 """Convenience dispatch: items in, points out, engine chosen for you.
 
-:func:`execute_items` is the one-call replacement for the old
-``bench/parallel.run_points`` signature: a borrowed pool routes through
-a :class:`~repro.engine.pool.PoolEngine` wrapper, ``jobs > 1`` creates
+:func:`execute_items` runs a batch of sweep points: a borrowed pool
+routes through a :class:`~repro.engine.pool.PoolEngine` wrapper,
+``jobs > 1`` creates
 (and tears down) an owned pool, and the serial path runs on one shared
 process-level :class:`~repro.engine.inline.InlineEngine` — preserving
 the old module-global runner table's semantics, where calibrations and

@@ -1,8 +1,8 @@
 """Process-pool execution: warm workers for sweeps and batched sorts.
 
-:class:`PoolEngine` subsumes the fan-out half of the old
-``bench/parallel.run_points``: point plans are submitted item-by-item to
-a :class:`~concurrent.futures.ProcessPoolExecutor` and collected in
+:class:`PoolEngine` fans plans out over worker processes: point plans
+are submitted item-by-item to a
+:class:`~concurrent.futures.ProcessPoolExecutor` and collected in
 completion order (results still return in item order). Each worker
 process keeps module-level warm state — a fingerprint-keyed
 :class:`~repro.bench.runner.SweepRunner` table for points (the

@@ -139,10 +139,11 @@ def register_engine(
 def _ensure_builtins() -> None:
     """Import the builtin engine modules (each registers itself).
 
-    Thread-safe: concurrent first callers (e.g. shard-fleet workers
-    booting in parallel threads) serialize on the guard, and the loaded
-    flag only flips once every builtin has registered — setting it
-    before the imports let a racing thread observe an empty registry.
+    Thread-safe: concurrent first callers (e.g. the daemon's executor
+    threads serving their first requests) serialize on the guard, and
+    the loaded flag only flips once every builtin has registered —
+    setting it before the imports let a racing thread observe an empty
+    registry.
     The lock is reentrant so an engine module consulting the registry
     mid-import cannot deadlock.
     """
@@ -157,7 +158,6 @@ def _ensure_builtins() -> None:
             inline,
             pool,
             service,
-            sharded,
         )
 
         _BUILTINS_LOADED = True

@@ -1,9 +1,8 @@
 """Picklable sweep work items and the shared per-item execution core.
 
 :class:`WorkItem` / :class:`ProgressEvent` / :func:`sweep_items` /
-:func:`cache_ref` moved here from :mod:`repro.bench.parallel` with the
-execution-engine refactor (the old module re-exports them, so external
-imports keep working). The per-item execution core — a runner table
+:func:`cache_ref` describe sweep points for every engine (also exported
+from :mod:`repro.engine`). The per-item execution core — a runner table
 keyed by content-addressed fingerprint plus :func:`execute_item` — is
 shared by the serial :class:`~repro.engine.inline.InlineEngine` path and
 by every :class:`~repro.engine.pool.PoolEngine` worker process.

@@ -69,8 +69,9 @@ def _ensure_builtins() -> None:
     """Import the builtin backend modules (registered below).
 
     Thread-safe and reentrant for the same reasons as the engine
-    registry's loader: shard-fleet workers boot in parallel threads, and
-    the flag only flips once every builtin is in the table.
+    registry's loader: the daemon's executor threads can race to the
+    first lookup, and the flag only flips once every builtin is in the
+    table.
     """
     global _BUILTINS_LOADED
     if _BUILTINS_LOADED:

@@ -195,7 +195,7 @@ class ServiceClient:
         """Ask the server to drain and exit."""
         return self.request("POST", "/shutdown")
 
-    # -- job scheduler (shard router only) -----------------------------------
+    # -- job scheduler ------------------------------------------------------
 
     def submit_job(self, manifest: dict) -> dict:
         """Submit a chunked job manifest; returns ``{"job_id": ...}``."""

@@ -1,19 +1,17 @@
 """Prometheus text exposition of the service counters.
 
-``GET /metrics`` on every daemon (and on the shard router) renders the
-same counter snapshot ``GET /stats`` serves as JSON, in the Prometheus
-text format (version 0.0.4) — plain ``# HELP``/``# TYPE`` preambles and
-one sample per line — so a scrape target needs nothing beyond the
-daemon itself. The renderer is tolerant by design: it walks whatever
-sections are present in the payload (worker daemons and the router
-expose slightly different ones) and skips the rest, so one renderer
-serves every process in a fleet.
+``GET /metrics`` on the daemon renders the same counter snapshot
+``GET /stats`` serves as JSON, in the Prometheus text format (version
+0.0.4) — plain ``# HELP``/``# TYPE`` preambles and one sample per line
+— so a scrape target needs nothing beyond the daemon itself. The
+renderer walks whatever sections are present in the payload and skips
+the rest (``bench_cache`` is absent without ``--cache``).
 
 The memo samples come in two flavours: ``repro_memo_*`` is the daemon's
 own request-serving memo, while ``repro_memo_process_*`` is the
-process-wide aggregate *including deltas absorbed from pool and shard
-workers* (see :meth:`repro.dmm.memo.ConflictMemo.absorb_stats`) — the
-fleet-inclusive number an operator should graph.
+process-wide aggregate *including deltas absorbed from pool workers*
+(see :meth:`repro.dmm.memo.ConflictMemo.absorb_stats`) — the
+pool-inclusive number an operator should graph.
 """
 
 from __future__ import annotations
@@ -164,7 +162,7 @@ def render_metrics(payload: dict) -> str:
         what = (
             "this daemon's request-serving memo"
             if not scope
-            else "the process-wide aggregate incl. pool/shard workers"
+            else "the process-wide aggregate incl. pool workers"
         )
         out.sample(
             f"memo_{scope}hits_total",
@@ -210,44 +208,22 @@ def render_metrics(payload: dict) -> str:
             help="Bytes currently stored in the on-disk bench cache.",
         )
 
-    # Router-only sections: per-shard routing and scheduler gauges.
-    for url, count in sorted(payload.get("shard_requests", {}).items()):
+    for state, count in sorted(payload.get("jobs", {}).items()):
         out.sample(
-            "shard_forwarded_total",
+            "jobs",
             count,
-            help="Requests forwarded to each shard.",
-            labels={"shard": url},
-        )
-    for url, up in sorted(payload.get("shard_health", {}).items()):
-        out.sample(
-            "shard_up",
-            up,
             kind="gauge",
-            help="Whether the last forward to this shard succeeded.",
-            labels={"shard": url},
+            help="Scheduler jobs by state.",
+            labels={"state": state},
         )
-    # "jobs" is scheduler state on the router but the worker-pool size
-    # (an int) on a worker daemon — only the former renders here.
-    jobs = payload.get("jobs")
-    if isinstance(jobs, dict):
-        for state, count in sorted(jobs.items()):
-            out.sample(
-                "jobs",
-                count,
-                kind="gauge",
-                help="Scheduler jobs by state.",
-                labels={"state": state},
-            )
-    chunks = payload.get("chunks")
-    if isinstance(chunks, dict):
-        for state, count in sorted(chunks.items()):
-            out.sample(
-                "job_chunks",
-                count,
-                kind="gauge",
-                help="Scheduler chunks by state, across all jobs.",
-                labels={"state": state},
-            )
+    for state, count in sorted(payload.get("chunks", {}).items()):
+        out.sample(
+            "job_chunks",
+            count,
+            kind="gauge",
+            help="Scheduler chunks by state, across all jobs.",
+            labels={"state": state},
+        )
     out.sample(
         "chunk_retries_total",
         payload.get("chunk_retries"),

@@ -1,21 +1,21 @@
-"""Chunked job scheduler: manifests → chunks → shards, with requeue.
+"""Chunked job scheduler: manifests → chunks → the daemon, with requeue.
 
 A *job manifest* is a ``/sweep`` payload plus scheduler knobs — the
 whole inputs×sizes grid a client wants computed, too large to sit in
 one HTTP request/response cycle comfortably. ``POST /jobs`` on the
-shard router splits it into **chunks** (one input family × a contiguous
+daemon splits it into **chunks** (one input family × a contiguous
 slice of sizes, each a small self-contained ``/sweep`` body), runs the
-chunks across the shard fleet with bounded concurrency, and tracks a
-:class:`Job` the client polls with the am-I-done probe
+chunks through the daemon's sweep path with bounded concurrency, and
+tracks a :class:`Job` the client polls with the am-I-done probe
 ``GET /jobs/<id>``.
 
 Failure semantics draw the classic scheduler line between the two error
 families:
 
-* **worker failures** (:class:`~repro.errors.ServiceError`: connection
-  refused/reset, HTTP 5xx — e.g. a shard killed mid-manifest) requeue
-  the chunk, up to ``max_retries`` extra attempts per chunk. Chunks are
-  deterministic pure computations, so a retry on any shard produces the
+* **worker failures** (:class:`~repro.errors.ServiceError`: a full
+  admission gate, a deadline, a sweep pool worker killed mid-manifest)
+  requeue the chunk, up to ``max_retries`` extra attempts per chunk.
+  Chunks are deterministic pure computations, so a retry produces the
   identical points.
 * **validation failures** (:class:`~repro.errors.ValidationError`,
   HTTP 4xx) fail the chunk permanently — resending a malformed payload
@@ -24,14 +24,12 @@ families:
 Chunk payloads are rebuilt in canonical form from the parsed manifest,
 so two manifests phrasing the same grid differently (``preset`` vs
 ``config``, ``max_elements`` vs explicit ``sizes``) produce chunks with
-identical coalescing fingerprints — fleet-wide single-flight and the
-disk cache both apply to scheduled work exactly as to direct
-``/sweep`` calls.
+identical coalescing fingerprints — single-flight and the disk cache
+both apply to scheduled work exactly as to direct ``/sweep`` calls.
 
 The scheduler itself is transport-agnostic: it drives an async
-``submit_chunk(payload) -> reply`` callable the router provides
-(consistent-hash routing + failover live there), which keeps this
-module unit-testable without sockets.
+``submit_chunk(payload) -> reply`` callable the daemon provides, which
+keeps this module unit-testable without sockets.
 """
 
 from __future__ import annotations
@@ -210,13 +208,13 @@ class JobScheduler:
     Parameters
     ----------
     submit_chunk:
-        ``async (payload: dict) -> reply dict`` — the router's routed,
-        failover-capable forward of one ``/sweep`` chunk. Must raise
+        ``async (payload: dict) -> reply dict`` — the daemon's run of
+        one ``/sweep`` chunk. Must raise
         :class:`~repro.errors.ServiceError` on worker failure and
         :class:`~repro.errors.ValidationError` on a rejected payload.
     chunk_concurrency:
-        Chunks of one job in flight at once. Fleet-wide concurrency is
-        still governed by each shard's admission gate; this only bounds
+        Chunks of one job in flight at once. Overall concurrency is
+        still governed by the daemon's admission gate; this only bounds
         how hard a single job pushes.
     """
 
@@ -283,7 +281,7 @@ class JobScheduler:
                 else "done"
             )
         except asyncio.CancelledError:
-            # Router shutting down mid-job: mark it failed so a polling
+            # Daemon shutting down mid-job: mark it failed so a polling
             # client stops waiting, then re-raise for the loop teardown.
             job.status = "failed"
             for task in active:
@@ -294,7 +292,7 @@ class JobScheduler:
         try:
             reply = await self._submit_chunk(chunk.payload)
         except ServiceError as exc:
-            # Worker failure (killed shard, 5xx): requeue within budget.
+            # Worker failure (dead pool worker, 5xx): requeue within budget.
             chunk.attempts += 1
             if chunk.attempts <= job.max_retries:
                 chunk.status = "pending"

@@ -17,42 +17,44 @@ HTTP/1.1 is hand-rolled over :func:`asyncio.start_server` — no
 ``POST /construct``   adversarial permutation for a config (base64 or JSON)
 ``POST /simulate``    instrumented sort → serialized ``SortResult``
 ``POST /sweep``       grid of bench points via the parallel worker pool
+``POST /jobs``        chunked sweep manifest → ``job_id`` (202)
+``GET  /jobs/<id>``   am-I-done probe; the full point set once done
 ``GET  /healthz``     liveness (+ draining state)
 ``GET  /stats``       counters, batching/backpressure, memo + cache stats
 ``GET  /metrics``     the same counters in Prometheus text format
 ``POST /shutdown``    graceful drain, same path as SIGTERM
 ====================  =====================================================
 
-The HTTP front (framing, keep-alive, graceful drain, per-client
-quotas) lives in :class:`HttpDaemon`, shared with the shard router
-(:mod:`repro.service.shard`) — one transport layer, two dispatch
-brains.
-
 Request flow for the compute endpoints: parse/validate → fingerprint →
 single-flight (identical in-flight requests share one computation) →
 bounded admission (full ⇒ 429 + ``Retry-After``) → thread-pool
 execution with a per-request deadline (expired ⇒ 504 for that waiter
-only). SIGTERM/SIGINT (or ``POST /shutdown``) stop the listener,
-let in-flight work finish within ``drain_timeout``, then exit.
+only). ``/jobs`` chunks take the same path through
+:class:`~repro.service.scheduler.JobScheduler`, so a chunk coalesces
+with an identical direct ``/sweep``. SIGTERM/SIGINT (or
+``POST /shutdown``) stop the listener, let in-flight work finish within
+``drain_timeout``, then exit.
 
 Simulations serialize on one process-wide lock: the simulator is a
 NumPy hot loop that saturates a core anyway, and the lock keeps the
 shared memo's per-sort hit/miss deltas attributable to exactly one
 request — which is what makes served ``memo_stats`` reproducible.
-Scaling across cores is the job of ``/sweep``'s process pool and of
-running several daemons.
+Scaling across cores is the job of the ``/sweep`` and ``/jobs``
+process pool (``jobs > 1``).
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import multiprocessing
 import signal
 import sys
 import threading
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -68,6 +70,7 @@ from repro.errors import (
     ConfigurationError,
     ConstructionError,
     ReproError,
+    ServiceError,
     ValidationError,
 )
 from repro.inputs.generators import generate
@@ -80,11 +83,11 @@ from repro.service.protocol import (
     SweepRequest,
     point_to_obj,
 )
+from repro.service.scheduler import JobScheduler
 from repro.service.stats import ServiceStats
 from repro.sort.serialize import array_to_obj, config_to_obj, result_to_obj
 
 __all__ = [
-    "HttpDaemon",
     "ServiceConfig",
     "ReproService",
     "run_service",
@@ -105,7 +108,6 @@ _REASONS = {
     429: "Too Many Requests",
     431: "Request Header Fields Too Large",
     500: "Internal Server Error",
-    502: "Bad Gateway",
     503: "Service Unavailable",
     504: "Gateway Timeout",
 }
@@ -118,10 +120,14 @@ _ENDPOINTS = {
     "/construct": "POST",
     "/simulate": "POST",
     "/sweep": "POST",
+    "/jobs": "POST",
 }
 
 #: Endpoints the per-client quota meters (control-plane probes stay free).
 _QUOTA_PATHS = frozenset({"/construct", "/simulate", "/sweep", "/jobs"})
+
+#: Errors that mean the request itself is bad (HTTP 400, never retried).
+_CLIENT_ERRORS = (ValidationError, ConfigurationError, ConstructionError)
 
 
 @dataclass
@@ -139,7 +145,8 @@ class ServiceConfig:
     drain_timeout: float = 60.0
     #: Idle keep-alive connections are closed after this many seconds.
     keepalive_timeout: float = 75.0
-    #: Worker processes for ``/sweep`` fan-out (1 = in-process, serial).
+    #: Worker processes for ``/sweep`` and ``/jobs`` fan-out (1 =
+    #: in-process, serial); also the chunks one job keeps in flight.
     jobs: int = 1
     #: Attach the on-disk bench cache (``None`` = memory-only service).
     cache_dir: str | None = None
@@ -177,114 +184,104 @@ class _HttpRequest:
         return token != "close"
 
 
-class HttpDaemon:
-    """Shared HTTP/1.1 front of the worker daemon and the shard router.
+class ReproService:
+    """One daemon: shared caches, batching layer, job scheduler, HTTP front.
 
     Owns every transport concern — request framing, keep-alive,
-    signal-driven graceful drain, per-client quotas — and leaves the
-    dispatch brain to subclasses, which implement
-    ``_dispatch(request, client) -> (status, payload, extra)`` where
-    ``payload`` is a dict (rendered as JSON) or a pre-rendered string
-    (plain text, e.g. ``/metrics``). ``config`` must carry the
-    transport fields of :class:`ServiceConfig` (``host``, ``port``,
-    ``keepalive_timeout``, ``drain_timeout``, ``retry_after``,
-    ``quota_per_minute``, ``log_stream``).
+    signal-driven graceful drain, per-client quotas — and the compute
+    paths behind them.
     """
 
-    #: Prefix of every log line; subclasses override.
-    log_name = "repro.service"
-
-    def __init__(self, config):
+    def __init__(self, config: ServiceConfig):
         self.config = config
         self.stats = ServiceStats()
         self.single_flight = SingleFlight(self.stats)
+        self.admission = AdmissionGate(config.queue_limit, self.stats)
         self.quotas = (
             ClientQuotas(config.quota_per_minute, self.stats)
             if config.quota_per_minute
             else None
+        )
+        self.memo = ConflictMemo()
+        self.cache = (
+            BenchCache(config.cache_dir)
+            if (config.use_cache or config.cache_dir)
+            else None
+        )
+        # More chunks in flight than pool workers would only queue behind
+        # the compute lock or the pool.
+        self.scheduler = JobScheduler(
+            self._submit_chunk, chunk_concurrency=max(1, config.jobs)
         )
         self.port: int | None = None
         self._server: asyncio.AbstractServer | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._shutdown_event = asyncio.Event()
         self._conn_tasks: set[asyncio.Task] = set()
-        self._writers: set[asyncio.StreamWriter] = set()
         self._draining = False
+
+        self._executor = ThreadPoolExecutor(
+            max_workers=config.queue_limit,
+            thread_name_prefix="repro-service",
+        )
+        # Warm engines, resolved through the registry: one inline engine
+        # per (scoring, memo) simulate variant (each caches sorters per
+        # config/padding; the memoized one shares the process-lifetime
+        # memo), one serial engine for unpooled sweeps (its runner table
+        # is the warm state the old module-global table provided), and
+        # with jobs > 1 a pool engine over a warm process pool, replaced
+        # whole when one of its workers dies.
+        self._engines: dict[tuple[str, bool], ExecutionEngine] = {}
+        self._serial_points = create_engine("inline")
+        self._pool_points = (
+            self._new_pool_engine() if config.jobs > 1 else None
+        )
+        self._pool_lock = threading.Lock()
+        self._compute_lock = threading.Lock()
 
     # -- logging -------------------------------------------------------------
 
     def _log(self, message: str) -> None:
         stream = self.config.log_stream or sys.stderr
         try:
-            stream.write(f"[{self.log_name}] {message}\n")
+            stream.write(f"[repro.service] {message}\n")
             stream.flush()
         except (OSError, ValueError):
             pass
 
+    def _log_unhandled(self, exc: Exception) -> None:
+        self._log(
+            "unhandled error: "
+            + "".join(traceback.format_exception(exc)).rstrip()
+        )
+
     # -- lifecycle -----------------------------------------------------------
 
     async def start(self):
-        """Bind the listener (resolving ``port=0``) and warm subclass state."""
+        """Bind the listener (resolving ``port=0``)."""
         self._loop = asyncio.get_running_loop()
-        await self._before_serving()
         self._server = await asyncio.start_server(
             self._on_connection, self.config.host, self.config.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
+        cache = str(self.cache.cache_dir) if self.cache else "off"
         self._log(
             f"listening on http://{self.config.host}:{self.port} "
-            f"({self._describe()})"
+            f"(queue_limit={self.config.queue_limit}, "
+            f"jobs={self.config.jobs}, cache={cache})"
         )
         return self
-
-    async def _before_serving(self) -> None:
-        """Subclass hook run inside the loop before the listener binds."""
-
-    def _describe(self) -> str:
-        """Subclass hook: knob summary for the startup log line."""
-        return ""
 
     def request_shutdown(self) -> None:
         """Begin a graceful drain; safe to call from any thread.
 
-        A no-op once the loop is gone (e.g. the daemon was already
-        hard-killed via :meth:`abort`), so fleet teardown can sweep
-        every worker without tracking which ones crashed.
+        A no-op once the loop is gone, so teardown code need not track
+        whether the daemon already exited.
         """
         if self._loop is None or self._loop.is_closed():
             return
         try:
             self._loop.call_soon_threadsafe(self._shutdown_event.set)
-        except RuntimeError:
-            pass  # loop closed between the check and the call
-
-    def abort(self) -> None:
-        """Hard-stop the event loop without draining — crash semantics.
-
-        In-flight requests die with reset connections and no responses
-        are flushed. Exists for the fleet's kill-a-shard failure paths
-        (:meth:`repro.service.shard.ShardFleet.kill`) and their tests;
-        operators should use :meth:`request_shutdown`.
-        """
-        if self._loop is None or self._loop.is_closed():
-            return
-
-        def crash() -> None:
-            # Close the listener so new connects are refused instead of
-            # sitting in the kernel backlog with nobody to answer, and
-            # RST live connections so blocked peers fail immediately —
-            # without this, clients of a "crashed" shard would hang
-            # until their socket timeout.
-            if self._server is not None:
-                self._server.close()
-            for writer in list(self._writers):
-                transport = writer.transport
-                if transport is not None:
-                    transport.abort()
-            self._loop.stop()
-
-        try:
-            self._loop.call_soon_threadsafe(crash)
         except RuntimeError:
             pass  # loop closed between the check and the call
 
@@ -334,16 +331,18 @@ class HttpDaemon:
                 task.cancel()
             await asyncio.gather(*pending, return_exceptions=True)
 
-        self._shutdown_executors(drained)
+        # A drain timeout means a sort is still running in the executor;
+        # don't block the loop waiting on it (the interpreter will still
+        # join the thread at exit, but the caller gets its exit code now).
+        self._executor.shutdown(wait=drained, cancel_futures=True)
+        if self._pool_points is not None:
+            self._pool_points.pool.shutdown(wait=drained, cancel_futures=True)
         self._log(
             "drained cleanly"
             if drained
             else f"drain timed out after {self.config.drain_timeout}s"
         )
         return drained
-
-    def _shutdown_executors(self, drained: bool) -> None:
-        """Subclass hook: release worker pools after the drain."""
 
     # -- connection handling -------------------------------------------------
 
@@ -354,7 +353,6 @@ class HttpDaemon:
         if task is not None:
             self._conn_tasks.add(task)
             task.add_done_callback(self._conn_tasks.discard)
-        self._writers.add(writer)
         self.stats.connections += 1
         try:
             await self._serve_connection(reader, writer)
@@ -365,7 +363,6 @@ class HttpDaemon:
         ):
             pass
         finally:
-            self._writers.discard(writer)
             try:
                 writer.close()
                 await writer.wait_closed()
@@ -407,91 +404,22 @@ class HttpDaemon:
             if not keep:
                 return
 
-    # -- shared dispatch helpers ---------------------------------------------
-
-    async def _dispatch(
-        self, request: _HttpRequest, client: str
-    ) -> tuple[int, dict | str, dict]:
-        raise NotImplementedError
-
-    def _quota_reject(self, client: str) -> tuple[int, dict, dict] | None:
-        """A 429 triple when ``client`` is out of quota, else ``None``."""
-        if self.quotas is None:
-            return None
-        wait = self.quotas.try_consume(client)
-        if wait is None:
-            return None
-        return (
-            429,
-            {
-                "error": (
-                    f"client quota of {self.quotas.per_minute} "
-                    "compute requests/minute exhausted"
-                ),
-                "retry_after": round(wait, 3),
-            },
-            {"Retry-After": f"{max(wait, 0.001):.3f}"},
-        )
-
-
-class ReproService(HttpDaemon):
-    """One daemon: shared caches, batching layer, and the HTTP front."""
-
-    log_name = "repro.service"
-
-    def __init__(self, config: ServiceConfig):
-        super().__init__(config)
-        self.memo = ConflictMemo()
-        self.cache = (
-            BenchCache(config.cache_dir)
-            if (config.use_cache or config.cache_dir)
-            else None
-        )
-        self.admission = AdmissionGate(config.queue_limit, self.stats)
-
-        self._executor = ThreadPoolExecutor(
-            max_workers=config.queue_limit,
-            thread_name_prefix="repro-service",
-        )
-        self._pool: ProcessPoolExecutor | None = None
-        # Warm engines, resolved through the registry: one inline engine
-        # per (scoring, memo) simulate variant (each caches sorters per
-        # config/padding; the memoized one shares the process-lifetime
-        # memo), one serial engine for unpooled sweeps (its runner table
-        # is the warm state the old module-global table provided), and a
-        # pool engine wrapping self._pool once start() created it.
-        self._engines: dict[tuple[str, bool], ExecutionEngine] = {}
-        self._serial_points = create_engine("inline")
-        self._pool_points: ExecutionEngine | None = None
-        self._compute_lock = threading.Lock()
-
-    # -- lifecycle hooks -----------------------------------------------------
-
-    async def _before_serving(self) -> None:
-        if self.config.jobs > 1:
-            self._pool = ProcessPoolExecutor(max_workers=self.config.jobs)
-
-    def _describe(self) -> str:
-        cache = str(self.cache.cache_dir) if self.cache else "off"
-        return (
-            f"queue_limit={self.config.queue_limit}, "
-            f"jobs={self.config.jobs}, cache={cache}"
-        )
-
-    def _shutdown_executors(self, drained: bool) -> None:
-        # A drain timeout means a sort is still running in the executor;
-        # don't block the loop waiting on it (the interpreter will still
-        # join the thread at exit, but the caller gets its exit code now).
-        self._executor.shutdown(wait=drained, cancel_futures=True)
-        if self._pool is not None:
-            self._pool.shutdown(wait=drained, cancel_futures=True)
-
     # -- routing -------------------------------------------------------------
 
     async def _dispatch(
         self, request: _HttpRequest, client: str
     ) -> tuple[int, dict | str, dict]:
         path = request.path.split("?", 1)[0]
+        if path.startswith("/jobs/"):
+            self.stats.requests["/jobs/<id>"] += 1
+            if request.method != "GET":
+                return 405, {"error": "/jobs/<id> expects GET"}, {"Allow": "GET"}
+            job_id = path[len("/jobs/") :]
+            status = self.scheduler.status(job_id)
+            if status is None:
+                return 404, {"error": f"unknown job {job_id!r}"}, {}
+            return 200, status, {}
+
         self.stats.requests[path] += 1
         expected = _ENDPOINTS.get(path)
         if expected is None:
@@ -539,6 +467,8 @@ class ReproService(HttpDaemon):
             self.stats.validation_errors += 1
             return 400, {"error": "body is not valid JSON", "kind": "validation"}, {}
 
+        if path == "/jobs":
+            return self._submit_job(body)
         if path == "/construct":
             return await self._serve_compute(
                 lambda: ConstructRequest.from_payload(body),
@@ -553,21 +483,45 @@ class ReproService(HttpDaemon):
             lambda: SweepRequest.from_payload(body), self._compute_sweep
         )
 
-    async def _serve_compute(
-        self, parse: Callable, compute: Callable
-    ) -> tuple[int, dict, dict]:
+    def _quota_reject(self, client: str) -> tuple[int, dict, dict] | None:
+        """A 429 triple when ``client`` is out of quota, else ``None``."""
+        if self.quotas is None:
+            return None
+        wait = self.quotas.try_consume(client)
+        if wait is None:
+            return None
+        return (
+            429,
+            {
+                "error": (
+                    f"client quota of {self.quotas.per_minute} "
+                    "compute requests/minute exhausted"
+                ),
+                "retry_after": round(wait, 3),
+            },
+            {"Retry-After": f"{max(wait, 0.001):.3f}"},
+        )
+
+    def _draining_reply(self) -> tuple[int, dict, dict]:
+        return (
+            503,
+            {"error": "service is draining"},
+            {"Retry-After": f"{self.config.retry_after:g}"},
+        )
+
+    def _submit_job(self, body) -> tuple[int, dict, dict]:
+        if self._draining:
+            return self._draining_reply()
         try:
-            request = parse()
-        except (ValidationError, ConfigurationError, ConstructionError) as exc:
+            ack = self.scheduler.submit(body)
+        except _CLIENT_ERRORS as exc:
             self.stats.validation_errors += 1
             return 400, {"error": str(exc), "kind": "validation"}, {}
-        if self._draining:
-            return (
-                503,
-                {"error": "service is draining"},
-                {"Retry-After": f"{self.config.retry_after:g}"},
-            )
+        self.stats.completed += 1
+        return 202, {"ok": True, **ack}, {}
 
+    async def _run_compute(self, request, compute: Callable):
+        """Single flight → admission → executor; ``(payload, coalesced)``."""
         loop = asyncio.get_running_loop()
 
         async def start():
@@ -575,13 +529,26 @@ class ReproService(HttpDaemon):
                 self._executor, lambda: compute(request)
             )
 
+        return await self.single_flight.run(
+            request.coalesce_key(),
+            start,
+            gate=self.admission,
+            timeout=self.config.request_timeout,
+        )
+
+    async def _serve_compute(
+        self, parse: Callable, compute: Callable
+    ) -> tuple[int, dict, dict]:
         try:
-            payload, coalesced = await self.single_flight.run(
-                request.coalesce_key(),
-                start,
-                gate=self.admission,
-                timeout=self.config.request_timeout,
-            )
+            request = parse()
+        except _CLIENT_ERRORS as exc:
+            self.stats.validation_errors += 1
+            return 400, {"error": str(exc), "kind": "validation"}, {}
+        if self._draining:
+            return self._draining_reply()
+
+        try:
+            payload, coalesced = await self._run_compute(request, compute)
         except BlockingIOError:
             return (
                 429,
@@ -602,7 +569,7 @@ class ReproService(HttpDaemon):
                 },
                 {},
             )
-        except (ValidationError, ConfigurationError, ConstructionError) as exc:
+        except _CLIENT_ERRORS as exc:
             self.stats.validation_errors += 1
             return 400, {"error": str(exc), "kind": "validation"}, {}
         except ReproError as exc:
@@ -610,10 +577,7 @@ class ReproService(HttpDaemon):
             return 500, {"error": str(exc), "kind": "internal"}, {}
         except Exception as exc:  # noqa: BLE001 - last-resort 500
             self.stats.internal_errors += 1
-            self._log(
-                "unhandled error: "
-                + "".join(traceback.format_exception(exc)).rstrip()
-            )
+            self._log_unhandled(exc)
             return 500, {"error": str(exc), "kind": "internal"}, {}
 
         self.stats.completed += 1
@@ -621,6 +585,31 @@ class ReproService(HttpDaemon):
         reply["ok"] = True
         reply["coalesced"] = coalesced
         return 200, reply, {}
+
+    async def _submit_chunk(self, payload: dict) -> dict:
+        """Scheduler hook: run one job chunk exactly like a direct ``/sweep``.
+
+        The chunk takes the same single flight, admission gate and
+        :meth:`_compute_sweep`, so it coalesces with an identical
+        in-flight ``/sweep``. A rejected payload raises its validation
+        error (the scheduler fails the chunk for good); every other
+        failure — full gate, deadline, a dead pool worker, draining —
+        raises :class:`~repro.errors.ServiceError`, which requeues it.
+        """
+        if self._draining:
+            raise ServiceError("service is draining")
+        try:
+            reply, _ = await self._run_compute(
+                SweepRequest.from_payload(payload), self._compute_sweep
+            )
+        except (*_CLIENT_ERRORS, ServiceError):
+            raise
+        except Exception as exc:  # noqa: BLE001 - a 429/504/5xx on the wire
+            expected = (BlockingIOError, asyncio.TimeoutError, ReproError)
+            if not isinstance(exc, expected):
+                self._log_unhandled(exc)
+            raise ServiceError(f"chunk failed: {exc!r}") from exc
+        return reply
 
     # -- compute (executor threads) -----------------------------------------
 
@@ -705,10 +694,16 @@ class ReproService(HttpDaemon):
             for n in request.sizes
         ]
         progress = lambda event: self._log(event.describe())  # noqa: E731
-        if self._pool is not None:
-            if self._pool_points is None:
-                self._pool_points = create_engine("pool", pool=self._pool)
-            points = self._pool_points.run_points(items, progress=progress)
+        pool_points = self._pool_points
+        if pool_points is not None:
+            try:
+                points = pool_points.run_points(items, progress=progress)
+            except BrokenProcessPool as exc:
+                self._replace_pool(pool_points)
+                raise ServiceError(
+                    f"a sweep worker process died ({exc}); the pool was "
+                    "replaced, retry the request"
+                ) from exc
         else:
             # The serial engine's runner table is shared across every
             # unpooled sweep, so serialize it like simulations.
@@ -723,20 +718,45 @@ class ReproService(HttpDaemon):
             "sizes": list(request.sizes),
         }
 
+    def _new_pool_engine(self) -> ExecutionEngine:
+        # Spawn, not fork: workers start on demand mid-request, and a
+        # forked one would inherit the listener and every open client
+        # socket (and fork a multi-threaded process).
+        return create_engine(
+            "pool",
+            pool=ProcessPoolExecutor(
+                max_workers=self.config.jobs,
+                mp_context=multiprocessing.get_context("spawn"),
+            ),
+        )
+
+    def _replace_pool(self, broken: ExecutionEngine) -> None:
+        """Swap a fresh worker pool in for ``broken``'s dead one.
+
+        Every sweep that was running on the dead pool lands here; only
+        the first swaps, so the pool is replaced once.
+        """
+        with self._pool_lock:
+            if self._pool_points is broken:
+                self._pool_points = self._new_pool_engine()
+                self._log("a sweep worker process died; pool replaced")
+        broken.pool.shutdown(wait=False, cancel_futures=True)
+
     # -- stats ---------------------------------------------------------------
 
     def _stats_payload(self) -> dict:
         payload = self.stats.snapshot()
         payload["queue_limit"] = self.config.queue_limit
-        payload["jobs"] = self.config.jobs
+        payload["pool_workers"] = self.config.jobs
         payload["quota_per_minute"] = self.config.quota_per_minute
+        payload.update(self.scheduler.stats())
         payload["memo"] = _memo_obj(self.memo.stats())
         # The process-wide aggregate additionally folds in the deltas
         # shipped back by pool workers (ConflictMemo.absorb_stats) — the
-        # fleet-inclusive number /metrics exports for operators.
+        # pool-inclusive number /metrics exports for operators.
         payload["memo_process"] = _memo_obj(ConflictMemo.process_stats())
         # Hit/miss attribution per mitigation layout (pool workers ship
-        # their deltas home, so this is fleet-inclusive like the above).
+        # their deltas home, so this is pool-inclusive like the above).
         payload["memo_by_mitigation"] = {
             spec: {"hits": hits, "misses": misses}
             for spec, (hits, misses) in ConflictMemo.mitigation_stats().items()

@@ -1188,8 +1188,8 @@ def _choose_blocks(
     given and strictly below ``total``) — never for validation or for
     trace-everything rounds. Both scoring paths call this once per round
     with identical arguments, which keeps sampled-block selection (and
-    therefore the parallel-vs-serial bit-identity guarantee of
-    :mod:`repro.bench.parallel`) stable across implementations; the draw
+    therefore the pooled-vs-serial bit-identity guarantee of
+    :func:`repro.engine.execute_items`) stable across implementations; the draw
     order is pinned by ``tests/sort/test_pairwise.py``.
     """
     if score_blocks is not None and score_blocks < 1:

@@ -1,9 +1,7 @@
 """Tests for the sweep executor — above all, that fan-out over a process
 pool changes nothing about the results. The executor now lives in
 ``repro.engine`` (``execute_items`` routes serial work to the shared
-inline engine and ``--jobs``/external-pool work to a pool engine); the
-deprecated ``repro.bench.parallel.run_points`` shim is covered in
-``tests/engine/test_shims.py``."""
+inline engine and ``--jobs``/external-pool work to a pool engine)."""
 
 import dataclasses
 

@@ -96,13 +96,6 @@ def engines():
             built[name] = create_engine(
                 name, url=f"http://127.0.0.1:{service.port}", timeout=90.0
             )
-        elif name == "sharded":
-            # Degenerate single-node ring over the same daemon: pins the
-            # fingerprint-routed wire path into the bit-identity matrix
-            # (multi-shard routing semantics live in tests/service/).
-            built[name] = create_engine(
-                name, urls=[f"http://127.0.0.1:{service.port}"], timeout=90.0
-            )
         else:
             built[name] = create_engine(name)
     try:
@@ -219,7 +212,7 @@ class TestSortPlanBitIdentity:
     ):
         """The matrix acceptance bar: every mitigation layout produces
         bit-identical results through every simulating engine — inline,
-        memoized, fused, pool, and the served/sharded wire paths. The
+        memoized, fused, pool, and the served wire path. The
         worst-case family is analytic-eligible, so this also pins that
         "auto" routing never hands an unmodeled layout to the closed
         form."""

@@ -31,7 +31,6 @@ class TestNames:
             "inline-vectorized",
             "pool",
             "service",
-            "sharded",
         }
 
     def test_unknown_engine_rejected(self):
@@ -58,8 +57,8 @@ class TestNames:
 
     def test_engine_name_attribute_matches_registry(self):
         for name in engine_names():
-            if name in ("pool", "service", "sharded"):
-                continue  # pool spawns workers, service/sharded need daemons
+            if name in ("pool", "service"):
+                continue  # pool spawns workers, service needs a daemon
             assert create_engine(name).name == name
 
 

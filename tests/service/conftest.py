@@ -72,73 +72,3 @@ def service_factory():
             assert not thread.is_alive(), "service thread failed to exit"
 
     return factory
-
-
-@pytest.fixture
-def fleet_factory():
-    """Context manager factory: N worker daemons behind a shard router.
-
-    ``with factory(shards=2) as box: ...`` — ``box.fleet`` is the
-    :class:`ShardFleet` (worker services reachable via
-    ``box.fleet.service(i)`` for monkeypatching), ``box.router`` the
-    in-loop :class:`ShardRouter`, and ``box.client`` a client connected
-    to the router. Keyword dicts ``worker=`` / ``router=`` override the
-    respective config fields.
-    """
-
-    @contextmanager
-    def factory(shards=2, *, worker=None, router=None):
-        from repro.service.shard import RouterConfig, ShardFleet, run_router
-
-        worker_config = ServiceConfig(
-            port=0,
-            request_timeout=60.0,
-            drain_timeout=10.0,
-            **(worker or {}),
-        )
-        fleet = ShardFleet(worker_config, shards).start()
-        router_config = RouterConfig(
-            port=0,
-            request_timeout=60.0,
-            forward_timeout=55.0,
-            drain_timeout=10.0,
-            **(router or {}),
-        )
-        holder = {}
-        ready = threading.Event()
-
-        def runner():
-            holder["drained"] = asyncio.run(
-                run_router(
-                    router_config,
-                    fleet.urls,
-                    on_started=lambda r: (
-                        holder.update(router=r),
-                        ready.set(),
-                    ),
-                )
-            )
-
-        thread = threading.Thread(target=runner, daemon=True)
-        thread.start()
-        try:
-            assert ready.wait(15), "router failed to start"
-            router_obj = holder["router"]
-            client = ServiceClient(
-                f"http://127.0.0.1:{router_obj.port}", timeout=90.0
-            )
-            yield SimpleNamespace(
-                fleet=fleet,
-                router=router_obj,
-                client=client,
-                holder=holder,
-                thread=thread,
-            )
-        finally:
-            if thread.is_alive() and "router" in holder:
-                holder["router"].request_shutdown()
-                thread.join(30)
-            fleet.stop()
-            assert not thread.is_alive(), "router thread failed to exit"
-
-    return factory

@@ -3,18 +3,22 @@
 The unit half drives :class:`JobScheduler` against a fake
 ``submit_chunk`` (no sockets): chunking shape, canonical fingerprints,
 worker-failure requeue vs validation-failure permanence. The
-integration half runs real manifests through a real router + fleet —
-including the acceptance scenario: a worker hard-killed mid-manifest
-has its chunks requeued and the job still completes on the survivor.
+integration half runs real manifests through a real daemon — including
+the acceptance scenario: a sweep pool worker process that dies
+mid-manifest has its chunks requeued, and the job still completes on a
+fresh pool.
 """
 
 import asyncio
+import os
+import signal
 import threading
+import time
 
 import pytest
 
 from repro.errors import ServiceError, ValidationError
-from repro.service.protocol import SweepRequest
+from repro.service.protocol import SweepRequest, point_from_obj
 from repro.service.scheduler import JobScheduler, split_manifest
 from repro.sort.serialize import config_to_obj
 from tests.service.conftest import small_config
@@ -104,7 +108,7 @@ class TestSplitManifest:
     def test_equivalent_manifests_produce_identical_fingerprints(self):
         """Two phrasings of the same grid (explicit config vs the same
         grid again with scheduler knobs attached) chunk to identical
-        coalescing keys — fleet-wide single flight and the disk cache
+        coalescing keys — single flight and the disk cache
         apply across manifest authors."""
         _, a, _ = split_manifest(manifest(chunk_sizes=2))
         _, b, _ = split_manifest(manifest(chunk_sizes=2, max_retries=9))
@@ -185,7 +189,7 @@ class TestJobSchedulerUnit:
             key = (payload["inputs"][0], tuple(payload["sizes"]))
             if key not in failed_once:
                 failed_once.add(key)
-                raise ServiceError("shard died mid-chunk")
+                raise ServiceError("worker died mid-chunk")
             return {"points": ["ok"]}
 
         scheduler, status = drive(flaky, manifest(chunk_sizes=1))
@@ -196,7 +200,7 @@ class TestJobSchedulerUnit:
 
     def test_retries_exhausted_fails_the_job(self):
         async def always_down(payload):
-            raise ServiceError("no shard could serve the request")
+            raise ServiceError("admission queue full")
 
         _, status = drive(
             always_down, manifest(chunk_sizes=4, max_retries=1)
@@ -214,7 +218,7 @@ class TestJobSchedulerUnit:
 
         async def reject(payload):
             calls.append(payload)
-            raise ValidationError("shard rejected chunk: bad scoring")
+            raise ValidationError("bad scoring")
 
         _, status = drive(reject, manifest(chunk_sizes=4, max_retries=5))
         assert status["status"] == "failed"
@@ -230,58 +234,73 @@ class TestJobSchedulerUnit:
             JobScheduler(lambda payload: None, chunk_concurrency=0)
 
 
-class TestJobsThroughRouter:
-    def test_job_matches_direct_sweep(self, fleet_factory):
+class TestJobsOnDaemon:
+    def test_job_matches_direct_sweep(self, service_factory):
+        """A mitigation-crossed job returns exactly the points of one
+        direct ``/sweep`` per mitigation, concatenated mitigation-major."""
         sizes = [CFG.tile_size * 2, CFG.tile_size * 4]
-        with fleet_factory(shards=2) as box:
-            ack = box.client.submit_job(manifest(sizes=sizes, chunk_sizes=1))
-            assert ack["ok"] and ack["chunks"] == 4
+        with service_factory(jobs=2) as box:
+            ack = box.client.submit_job(
+                manifest(
+                    sizes=sizes,
+                    chunk_sizes=1,
+                    mitigations=["none", "cfree-sort"],
+                )
+            )
+            assert ack["ok"] and ack["chunks"] == 8
             status = box.client.wait_for_job(ack["job_id"], timeout=60.0)
             assert status["status"] == "done"
-            assert status["chunks"]["done"] == 4
-            direct = box.client.sweep(
-                config=CFG_OBJ,
-                inputs=["random", "worst-case"],
-                sizes=sizes,
-                score_blocks=2,
-            )
-            from repro.service.protocol import point_from_obj
+            assert status["chunks"]["done"] == 8
+            assert status["mitigations"] == ["none", "cfree-sort"]
+            direct = []
+            for mitigation in ("none", "cfree-sort"):
+                direct += box.client.sweep(
+                    config=CFG_OBJ,
+                    inputs=["random", "worst-case"],
+                    sizes=sizes,
+                    score_blocks=2,
+                    mitigation=mitigation,
+                ).points
+            assert [point_from_obj(p) for p in status["points"]] == direct
 
-            assert [
-                point_from_obj(p) for p in status["points"]
-            ] == direct.points
-
-    def test_invalid_manifest_rejected_with_400(self, fleet_factory):
-        with fleet_factory(shards=2) as box:
+    def test_invalid_manifest_rejected_with_400(self, service_factory):
+        with service_factory() as box:
             with pytest.raises(ValidationError, match="chunk_sizes"):
                 box.client.submit_job(manifest(chunk_sizes=0))
             with pytest.raises(ValidationError, match="unknown job"):
                 box.client.job_status("job-999-deadbeef")
 
     def test_killed_worker_mid_manifest_requeues_and_completes(
-        self, fleet_factory
+        self, service_factory
     ):
-        """The acceptance scenario: hard-kill a worker while it holds
-        in-flight chunks; the scheduler requeues them (visible in
-        ``retries``) and the am-I-done probe eventually flips done with
-        the full point set, served by the surviving shard."""
-        with fleet_factory(shards=2) as box:
+        """The acceptance scenario: a sweep pool worker dies while the
+        daemon holds in-flight chunks. The daemon replaces the broken
+        pool, the scheduler requeues the chunks (visible in
+        ``retries``), the job still completes, and a direct ``/sweep``
+        afterwards is served by the fresh pool."""
+        with service_factory(jobs=2) as box:
+            service = box.service
+            # A warm-up sweep starts the pool's worker processes.
+            box.client.sweep(
+                config=CFG_OBJ,
+                inputs=["random"],
+                sizes=[CFG.tile_size],
+                score_blocks=2,
+            )
+            pool = service._pool_points.pool
+            victim = next(iter(pool._processes.values()))
+
             first_call = threading.Event()
             hold = threading.Event()
-            calls = []
-            for i in range(len(box.fleet)):
-                service = box.fleet.service(i)
-                original = service._compute_sweep
+            original = service._compute_sweep
 
-                def gated(request, _orig=original, _i=i):
-                    calls.append(_i)
-                    first_call.set()
-                    assert hold.wait(60), "gate never released"
-                    return _orig(request)
+            def gated(request):
+                first_call.set()
+                assert hold.wait(60), "gate never released"
+                return original(request)
 
-                service._compute_sweep = gated
-
-            sizes = [CFG.tile_size * k for k in (1, 2, 4, 8, 16, 32)]
+            service._compute_sweep = gated
+            sizes = [CFG.tile_size * k for k in (1, 2, 4, 8)]
             ack = box.client.submit_job(
                 manifest(
                     sizes=sizes,
@@ -290,17 +309,25 @@ class TestJobsThroughRouter:
                     max_retries=3,
                 )
             )
-            assert first_call.wait(30), "no chunk reached a worker"
-            victim = calls[0]
-            box.fleet.kill(victim)
+            assert first_call.wait(30), "no chunk reached the daemon"
+            os.kill(victim.pid, signal.SIGKILL)
+            deadline = time.monotonic() + 30
+            while not pool._broken and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert pool._broken, "the executor never noticed the dead worker"
             hold.set()
+
             status = box.client.wait_for_job(ack["job_id"], timeout=120.0)
             assert status["status"] == "done", status.get("errors")
             assert status["retries"] >= 1
             assert status["chunks"]["done"] == len(sizes)
-            assert len(status["points"]) == len(sizes)
-            # The router noticed the crash and the survivor served it.
-            health = box.client.healthz()["shards"]
-            assert health[box.fleet.urls[victim]] == "down"
-            stats = box.client.stats()
-            assert stats["chunk_retries"] >= 1
+            assert box.client.stats()["chunk_retries"] >= 1
+            assert service._pool_points.pool is not pool
+            direct = box.client.sweep(
+                config=CFG_OBJ,
+                inputs=["random"],
+                sizes=sizes,
+                score_blocks=2,
+            )
+            points = [point_from_obj(p) for p in status["points"]]
+            assert points == direct.points

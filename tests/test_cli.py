@@ -269,7 +269,7 @@ class TestCachePruneCli:
 class TestProgressPrinter:
     @staticmethod
     def events(n=3):
-        from repro.bench.parallel import ProgressEvent, sweep_items
+        from repro.engine.tasks import ProgressEvent, sweep_items
         from repro.gpu.device import QUADRO_M4000
         from repro.sort.config import SortConfig
 
