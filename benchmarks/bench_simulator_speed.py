@@ -79,31 +79,40 @@ def test_sampled_simulation_speed(benchmark):
     )
 
 
+#: Floors for the native fused path's in-run speedup over the loop oracle:
+#: 8x over the trace-based vectorized path, times that path's speedup over
+#: the loop — 1.45 exact (its committed ``exact_loop`` / ``exact_vectorized``
+#: rows) and 1.12 sampled (in-run, 8 scored blocks). The loop is the
+#: reference because the vectorized path now shares the numpy counting
+#: kernels, so its speed says nothing fixed about fused.
+EXACT_FUSED_OVER_LOOP = 11
+SAMPLED_FUSED_OVER_LOOP = 9
+
+
 def test_exact_fused_speed(benchmark):
     """The fused engine on the exact workload. The in-run ratio against a
-    fresh vectorized pass is asserted loosely (CI noise on the slower leg
-    is the flake source); the committed ``exact_fused`` baseline row —
-    recorded at >=10x the ``exact_vectorized`` row — is what
-    ``check_regression`` gates."""
+    fresh loop-oracle pass is asserted loosely (CI noise on the slower leg
+    is the flake source); the committed ``exact_fused`` baseline row is
+    what ``check_regression`` gates."""
     from repro.dmm import fused as dmm_fused
 
     n = THRUST_MAXWELL.tile_size * 16
     data = generate("random", THRUST_MAXWELL, n, seed=0)
-    vectorized = PairwiseMergeSort(THRUST_MAXWELL, memo=None)
+    loop = PairwiseMergeSort(THRUST_MAXWELL, scoring="loop")
     start = time.perf_counter()
-    baseline = vectorized.sort(data)
-    vectorized_seconds = time.perf_counter() - start
+    baseline = loop.sort(data)
+    loop_seconds = time.perf_counter() - start
 
     sorter = PairwiseMergeSort(THRUST_MAXWELL, scoring="fused")
     result = benchmark(sorter.sort, data)
     assert np.array_equal(result.values, baseline.values)
 
     fused_seconds = benchmark.stats.stats.min
-    ratio = vectorized_seconds / fused_seconds if fused_seconds else float("inf")
+    ratio = loop_seconds / fused_seconds if fused_seconds else float("inf")
     backend = dmm_fused.active_backend()
     record(
         f"Harness exact fused simulation ({backend}): N={n:,}, "
-        f"{ratio:.1f}x over vectorized"
+        f"{ratio:.1f}x over the loop oracle"
     )
     record_timing(
         "exact_fused",
@@ -113,9 +122,9 @@ def test_exact_fused_speed(benchmark):
         backend=backend,
     )
     if dmm_fused.native_enabled():
-        # Measured 11–13x in-run; 8x leaves room for a noisy vectorized
-        # leg while still catching a fused path that lost its speedup.
-        assert ratio >= 8, f"exact fused only {ratio:.1f}x over vectorized"
+        assert ratio >= EXACT_FUSED_OVER_LOOP, (
+            f"exact fused only {ratio:.1f}x over the loop oracle"
+        )
 
 
 def test_sampled_fused_speed(benchmark):
@@ -124,10 +133,10 @@ def test_sampled_fused_speed(benchmark):
 
     n = THRUST_MAXWELL.tile_size * 128
     data = generate("random", THRUST_MAXWELL, n, seed=0)
-    vectorized = PairwiseMergeSort(THRUST_MAXWELL, memo=None)
+    loop = PairwiseMergeSort(THRUST_MAXWELL, scoring="loop")
     start = time.perf_counter()
-    baseline = vectorized.sort(data, score_blocks=8)
-    vectorized_seconds = time.perf_counter() - start
+    baseline = loop.sort(data, score_blocks=8)
+    loop_seconds = time.perf_counter() - start
 
     sorter = PairwiseMergeSort(THRUST_MAXWELL, scoring="fused")
     result = benchmark.pedantic(
@@ -139,11 +148,11 @@ def test_sampled_fused_speed(benchmark):
     assert np.array_equal(result.values, baseline.values)
 
     fused_seconds = benchmark.stats.stats.min
-    ratio = vectorized_seconds / fused_seconds if fused_seconds else float("inf")
+    ratio = loop_seconds / fused_seconds if fused_seconds else float("inf")
     backend = dmm_fused.active_backend()
     record(
         f"Harness sampled fused simulation ({backend}): N={n:,} with 8 "
-        f"scored blocks/round, {ratio:.1f}x over vectorized"
+        f"scored blocks/round, {ratio:.1f}x over the loop oracle"
     )
     record_timing(
         "sampled_fused",
@@ -154,10 +163,11 @@ def test_sampled_fused_speed(benchmark):
         backend=backend,
     )
     if dmm_fused.native_enabled():
-        # Measured ~10x in-run (merge rounds dominate this workload and
-        # are already memory-shaped); 8x is the flake-proof floor, the
-        # committed baseline row gates the absolute time.
-        assert ratio >= 8, f"sampled fused only {ratio:.1f}x over vectorized"
+        # Merge rounds dominate this workload and are already
+        # memory-shaped; the committed baseline row gates the absolute time.
+        assert ratio >= SAMPLED_FUSED_OVER_LOOP, (
+            f"sampled fused only {ratio:.1f}x over the loop oracle"
+        )
 
 
 def test_sweep_memoized_speed(benchmark):

@@ -11,15 +11,16 @@ representative tile per *pattern class* instead of to every block:
 * the family model (:mod:`repro.analytic.families`) gives each round's
   from-A mask in closed form; all pairs share it, and a global round's
   blocks fall into at most a few period-phase classes;
-* each class's merge trace is the mask's rank→address row pushed through
-  the same ``batched_rank_addresses`` / ``stack_warp_steps`` /
-  ``report_segments`` pipeline the memoized simulator uses for a missed
-  tile;
+* each class's merge stage is the mask's rank→address row scored by the
+  same :func:`~repro.dmm.fused.tile_merge_counts` kernel the memoized
+  simulator uses for a missed tile;
 * the β₁ partition probes are replayed against a *rank surrogate* — the
-  tile's merge ranks as values. The bisection comparisons ``A[i] ≤ B[j]``
-  of a stable merge hold exactly when ``A[i]`` precedes ``B[j]`` in the
-  merged order, which the rank surrogate reproduces, so the probe
-  sequence (and its trace) is identical to the real data's;
+  tile's merge ranks as values — through the same
+  :func:`~repro.mergepath.partition.probe_tile_counts` kernel. The
+  bisection comparisons ``A[i] ≤ B[j]`` of a stable merge hold exactly
+  when ``A[i]`` precedes ``B[j]`` in the merged order, which the rank
+  surrogate reproduces, so the probe sequence (and its counts) is
+  identical to the real data's;
 * the round total folds class reports with
   :meth:`~repro.dmm.conflicts.ConflictReport.scaled` /
   :meth:`~repro.dmm.conflicts.ConflictReport.merged` in block order —
@@ -42,17 +43,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analytic.families import FamilyModel
-from repro.dmm.conflicts import ConflictReport, count_conflicts, report_segments
+from repro.dmm.conflicts import ConflictReport, count_conflicts
+from repro.dmm.fused import report_from_per_step, tile_merge_counts
 from repro.dmm.trace import AccessTrace
 from repro.errors import ValidationError
 from repro.gpu.global_memory import CoalescingModel, GlobalTraffic
-from repro.mergepath.kernels import (
-    batched_rank_addresses,
-    stack_group_warp_steps,
-    stack_warp_steps,
-    thread_rank_addresses,
-)
-from repro.mergepath.partition import partition_many_with_trace
+from repro.mergepath.kernels import stack_warp_steps, thread_rank_addresses
+from repro.mergepath.partition import probe_tile_counts
+from repro.mitigation.padding import PaddingMitigation, pad_addresses
 from repro.sort.config import SortConfig
 from repro.sort.networks import oddeven_network
 from repro.sort.pairwise import RoundStats, SortResult
@@ -75,6 +73,8 @@ class AnalyticEngine:
     def __init__(self, config: SortConfig, padding: int = 0):
         self.config = config
         self.padding = check_nonnegative_int(padding, "padding")
+        #: The padding layout the counting kernels apply (``None``: identity).
+        self._layout = PaddingMitigation(self.padding) if self.padding else None
         #: class key -> (merge_report, partition_report) for one block/tile
         self._class_reports: dict[tuple, tuple[ConflictReport, ConflictReport]] = {}
         #: (plan, factor) -> assembled round report pair
@@ -260,33 +260,24 @@ class AnalyticEngine:
     def _physical(self, step_matrix: np.ndarray) -> np.ndarray:
         if not self.padding:
             return step_matrix
-        from repro.mitigation.padding import pad_addresses
-
         return pad_addresses(step_matrix, self.config.warp_size, self.padding)
 
     def _tile_reports(
-        self, row: np.ndarray, probe_steps: np.ndarray
+        self, row: np.ndarray, probe_counts: tuple
     ) -> tuple[ConflictReport, ConflictReport]:
-        """Score one tile's rank→address row + β₁ probe matrix, exactly as
+        """Score one tile's rank→address row + β₁ probe counts, exactly as
         the memoized simulator scores a missed tile."""
         cfg = self.config
-        merge_dense = self._physical(
-            stack_warp_steps(batched_rank_addresses(row[None, :], cfg.E), cfg.w)
+        merge_steps, merge_replays = tile_merge_counts(
+            row[None, :], cfg.E, cfg.w, self._layout
         )
-        rows_per_tile = (cfg.b // cfg.w) * cfg.E
-        merge = report_segments(
-            AccessTrace.from_dense(merge_dense),
-            cfg.w,
-            np.array([0, rows_per_tile], dtype=np.int64),
-        )[0]
-        stacked, group_rows = stack_group_warp_steps(
-            probe_steps, 1, cfg.w, return_group_rows=True
+        merge = report_from_per_step(
+            cfg.w, merge_steps[0], row.size, row.size, merge_replays[0]
         )
-        part = report_segments(
-            AccessTrace.from_dense(self._physical(stacked)),
-            cfg.w,
-            np.concatenate(([0], np.cumsum(group_rows))),
-        )[0]
+        part_steps, _, accesses, requests, replays = probe_counts
+        part = report_from_per_step(
+            cfg.w, part_steps, accesses[0], requests[0], replays[0]
+        )
         return merge, part
 
     def _score_block_class(
@@ -312,7 +303,7 @@ class AnalyticEngine:
         t_ranks = np.arange(cfg.b, dtype=np.int64) * cfg.E
         local_base = (t_ranks // pair_width) * pair_width
         lens = np.full(cfg.b, run, dtype=np.int64)
-        _, probe_steps = partition_many_with_trace(
+        probe_counts = probe_tile_counts(
             surrogate,
             a_base=local_base,
             a_len=lens,
@@ -321,8 +312,11 @@ class AnalyticEngine:
             diagonals=t_ranks % pair_width,
             trace_a_base=local_base,
             trace_b_base=local_base + run,
+            num_groups=1,
+            warp_size=cfg.w,
+            layout=self._layout,
         )
-        return self._tile_reports(row, probe_steps)
+        return self._tile_reports(row, probe_counts)
 
     def _score_global_class(
         self, local: np.ndarray, na: int
@@ -332,7 +326,7 @@ class AnalyticEngine:
         tile = cfg.tile_size
         surrogate = np.empty(tile, dtype=np.int64)
         surrogate[local] = np.arange(tile, dtype=np.int64)
-        _, probe_steps = partition_many_with_trace(
+        probe_counts = probe_tile_counts(
             surrogate,
             a_base=np.zeros(cfg.b, dtype=np.int64),
             a_len=np.full(cfg.b, na, dtype=np.int64),
@@ -341,8 +335,11 @@ class AnalyticEngine:
             diagonals=np.arange(cfg.b, dtype=np.int64) * cfg.E,
             trace_a_base=np.zeros(cfg.b, dtype=np.int64),
             trace_b_base=np.full(cfg.b, na, dtype=np.int64),
+            num_groups=1,
+            warp_size=cfg.w,
+            layout=self._layout,
         )
-        return self._tile_reports(local, probe_steps)
+        return self._tile_reports(local, probe_counts)
 
     # -- assembly ------------------------------------------------------------
 

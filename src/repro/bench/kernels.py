@@ -2,9 +2,10 @@
 
 The gated trajectory rows (``BENCH_simulator.json``) time whole
 simulations; when one of them drifts, the first question is *which kernel
-moved*. This module times the fused-path primitives in isolation — the
-row-merge kernel, block-round scoring, global-round scoring, and the
-end-to-end fused exact sort — and emits entries in the same shape as
+moved*. This module times the scoring primitives in isolation — the
+row-merge kernel, the per-tile counting kernels of the numpy paths,
+block-round scoring, global-round scoring, and the end-to-end fused exact
+sort — and emits entries in the same shape as
 ``benchmarks/conftest.py:record_timing`` (``seconds`` = median, plus
 ``min_seconds``/``iqr_seconds`` so noise is distinguishable from drift),
 so the output JSON can be diffed or gated with
@@ -13,6 +14,8 @@ so the output JSON can be diffed or gated with
 Backend behavior: every entry records the active fused backend
 (``native``/``numpy``). ``kernel_merge_pairs`` and ``kernel_sort_fused``
 measure the real code path of whichever backend is live;
+``kernel_tile_merge_counts``/``kernel_probe_tile_counts`` are numpy on
+both backends (the memoized default path runs them either way);
 ``kernel_block_scoring``/``kernel_global_scoring`` call the compiled
 round scorers directly and are skipped (not emitted) when the extension
 is unavailable — a missing row is visible in the JSON rather than a
@@ -30,6 +33,7 @@ import numpy as np
 from repro.dmm import fused as dmm_fused
 from repro.inputs.generators import generate
 from repro.mergepath import fused as fused_kernels
+from repro.mergepath.partition import probe_tile_counts
 from repro.sort.config import SortConfig
 from repro.sort.pairwise import PairwiseMergeSort
 from repro.utils.validation import check_positive_int
@@ -100,9 +104,40 @@ def kernel_benchmarks(
     mat = np.sort(data.reshape(-1, run), axis=1).reshape(-1, tile)
     timings["kernel_merge_pairs"] = _merge_entry(mat, run, repeat)
 
+    # The per-tile counting kernels behind every numpy scoring path (the
+    # memoized default scores its misses with them on both backends), on
+    # the same round: each row of ``mat`` is one tile's pair.
+    scored = np.arange(min(tiles, 8), dtype=np.int64)
+    addr_by_rank = np.argsort(mat[scored], axis=1, kind="stable")
+    timings["kernel_tile_merge_counts"] = _measure(
+        lambda: dmm_fused.tile_merge_counts(addr_by_rank, config.E, config.w),
+        repeat,
+    )
+    lanes = scored.size * config.b
+    a_base = np.repeat(scored * tile, config.b)
+    local = np.zeros(lanes, dtype=np.int64)
+    halves = np.full(lanes, run, dtype=np.int64)
+    probe_args = dict(
+        a_base=a_base,
+        a_len=halves,
+        b_base=a_base + run,
+        b_len=halves,
+        diagonals=np.tile(
+            np.arange(config.b, dtype=np.int64) * config.E, scored.size
+        ),
+        trace_a_base=local,
+        trace_b_base=local + run,
+        num_groups=scored.size,
+        warp_size=config.w,
+    )
+    flat_pre = np.ascontiguousarray(mat.reshape(-1))
+    timings["kernel_probe_tile_counts"] = _measure(
+        lambda: probe_tile_counts(flat_pre, **probe_args), repeat
+    )
+    for name in ("kernel_tile_merge_counts", "kernel_probe_tile_counts"):
+        timings[name].update(tiles_scored=int(scored.size), run=int(run))
+
     if dmm_fused.native_enabled():
-        flat_pre = np.ascontiguousarray(mat.reshape(-1))
-        scored = np.arange(min(tiles, 8), dtype=np.int64)
         timings["kernel_block_scoring"] = _measure(
             lambda: fused_kernels.fused_block_reports(
                 flat_pre, scored, run, config.E, config.b, config.w, 0

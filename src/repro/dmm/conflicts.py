@@ -261,8 +261,10 @@ def report_segments(
     ``boundaries[i]:boundaries[i+1]``. Because every conflict metric is
     additive over steps, scoring the stacked trace once and slicing is
     bit-identical to scoring each segment's sub-trace separately — but pays
-    the request-counting pass only once. The memoized scoring path uses
-    this to turn one batched round pass into per-tile cacheable reports.
+    the request-counting pass only once. The simulator's per-tile counting
+    kernels (:func:`repro.dmm.fused.tile_merge_counts`,
+    :func:`repro.mergepath.partition.probe_tile_counts`) produce the same
+    per-tile reports without a trace.
     """
     num_banks = check_power_of_two(num_banks, "num_banks")
     boundaries = np.asarray(boundaries, dtype=np.int64)

@@ -1,28 +1,33 @@
 """Fused conflict counting: round aggregates without ``AccessTrace``.
 
-The classic scoring pipeline materializes, per round, the ``(E, threads)``
-address matrices, a dense probe-step matrix, and :class:`AccessTrace`
-objects, then reduces them with a sort + bincount pass. The fused path
-(``scoring="fused"``) collapses that dataflow: counting goes straight from
-addresses to the handful of :class:`~repro.dmm.conflicts.ConflictReport`
-counters via bincounts over flattened ``(step-row, bank)`` keys, and — when
-the optional compiled backend is importable — straight from the pre-merge
+The trace-based pipeline (kept by the ``scoring="loop"`` oracle)
+materializes, per round, the ``(E, threads)`` address matrices, a dense
+probe-step matrix, and :class:`AccessTrace` objects, then reduces them
+with a sort + bincount pass. Every other simulated path collapses that
+dataflow: counting goes straight from addresses to the handful of
+:class:`~repro.dmm.conflicts.ConflictReport` counters via bincounts over
+flattened ``(step-row, bank)`` keys, and — on the fused path, when the
+optional compiled backend is importable — straight from the pre-merge
 values to the counters with no intermediate arrays at all.
 
-This module owns the three counting primitives and the backend switch:
+This module owns the merge-stage counting primitives and the backend
+switch:
 
 * :func:`report_from_per_step` — assemble a :class:`ConflictReport` from a
   per-step transaction sequence plus the access/request/replay counters
   (the shape both backends reduce to);
-* :func:`permutation_stage_report` — merge-stage scoring of ``(tiles, bE)``
-  rank→address rows. Each row is a permutation of its tile's cells, so two
-  lanes of one step can never read the same address: broadcast
-  deduplication is provably a no-op and the whole stage is one bincount —
-  no row sort, no trace;
-* :func:`dense_report` — partition-stage scoring of a stacked
-  ``(rows, w)`` physical-address matrix, bit-identical to
+* :func:`tile_merge_counts` — per-tile merge-stage counts of ``(tiles,
+  bE)`` rank→address rows under any layout. Each row is a permutation of
+  its tile's cells, so two lanes of one step can never read the same
+  address: broadcast deduplication is provably a no-op and the whole
+  stage is one bincount — no row sort, no trace.
+  :func:`permutation_stage_report` concatenates its tiles into one report;
+* :func:`dense_report` — scoring of any stacked ``(rows, w)``
+  physical-address matrix, bit-identical to
   ``count_conflicts(AccessTrace.from_dense(dense), w)`` without building
-  the trace.
+  the trace. (The partition stage counts with
+  :func:`repro.mergepath.partition.probe_tile_counts`, which never builds
+  the matrix.)
 
 Backend switch: :func:`native_enabled` is true when the optional compiled
 module :mod:`repro._fused_native` imported successfully and the
@@ -47,6 +52,7 @@ __all__ = [
     "native_module",
     "permutation_stage_report",
     "report_from_per_step",
+    "tile_merge_counts",
 ]
 
 #: Environment variable disabling the compiled backend at runtime (any
@@ -105,42 +111,63 @@ def report_from_per_step(
     )
 
 
-def permutation_stage_report(
+def tile_merge_counts(
     addr_by_rank: np.ndarray,
     elements_per_thread: int,
     warp_size: int,
-    padding: int,
-) -> ConflictReport:
-    """Merge-stage report for ``(tiles, bE)`` rank→address rows, fused.
+    layout=None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-tile merge-stage counts for ``(tiles, bE)`` rank→address rows.
 
-    Each row must be a permutation of ``[0, bE)`` — true for every merge
-    round's rank→address map (block rounds permute the tile, global rounds
-    permute the block's A∪B window). Distinct logical addresses stay
-    distinct under padding, so no broadcast can occur within a step:
-    ``requests == accesses`` and per-step replays are ``w − occupied
-    banks``. One bincount over flattened ``(tile, warp, step, bank)`` keys
-    replaces the reshape → stack → trace → sort-dedup pipeline.
+    Each row must be a permutation of its tile's cells — true for every
+    merge round's rank→address map (block rounds permute the tile, global
+    rounds permute the block's A∪B window). Thread ``t`` reads rank
+    ``tE + j`` at step ``j`` on lane ``t mod w``, so rank ``r`` lands in
+    trace row ``(r // wE)·E + r mod E`` of its tile, on lane ``(r // E)
+    mod w``. ``layout`` (a :class:`~repro.mitigation.base.Mitigation`, or
+    ``None`` for the identity) maps ``(address, lane)`` to a physical
+    address; a layout never sends two distinct addresses of one step to
+    one physical cell, so no broadcast can occur: requests equal accesses
+    and a step's replays are its lanes minus its occupied banks. One
+    bincount over flattened ``(tile, row, bank)`` keys replaces the
+    reshape → stack → trace → sort-dedup pipeline.
+
+    Returns ``(per_step, replays)``: the ``(tiles, (b/w)·E)`` per-step
+    transaction counts in trace-row order, and each tile's replay count.
     """
     rows2d = np.ascontiguousarray(addr_by_rank, dtype=np.int64)
     tiles, ranks = rows2d.shape
     e = elements_per_thread
     w = warp_size
-    wpb = ranks // e // w
-    rows_per_tile = wpb * e
-    # Trace row of rank r within its tile: warp-major, step-minor.
+    rows_per_tile = ranks // w
     r = np.arange(ranks, dtype=np.int64)
-    rowmap = (r // (w * e)) * e + r % e
-    phys = rows2d if not padding else rows2d + (rows2d // w) * padding
-    keys = (
-        np.arange(tiles, dtype=np.int64)[:, None] * rows_per_tile + rowmap
-    ) * w + (phys & np.int64(w - 1))
-    counts = np.bincount(
-        keys.ravel(), minlength=tiles * rows_per_tile * w
-    ).reshape(-1, w)
-    per_step = counts.max(axis=1)
-    accesses = tiles * ranks
-    replays = accesses - int(np.count_nonzero(counts))
-    return report_from_per_step(w, per_step, accesses, accesses, replays)
+    phys = rows2d if layout is None else layout.physical(rows2d, (r // e) % w, w)
+    keys = phys & np.int64(w - 1)
+    keys += ((r // (w * e)) * e + r % e) * w
+    keys += np.arange(0, tiles * ranks, ranks, dtype=np.int64)[:, None]
+    counts = np.bincount(keys.ravel(), minlength=tiles * ranks).reshape(
+        tiles, rows_per_tile, w
+    )
+    per_step = counts.max(axis=2)
+    replays = ranks - np.count_nonzero(counts, axis=(1, 2))
+    return per_step, replays.astype(np.int64, copy=False)
+
+
+def permutation_stage_report(
+    addr_by_rank: np.ndarray,
+    elements_per_thread: int,
+    warp_size: int,
+    layout=None,
+) -> ConflictReport:
+    """Merge-stage report of every ``(tiles, bE)`` row at once: the
+    :func:`tile_merge_counts` tiles concatenated in row order."""
+    per_step, replays = tile_merge_counts(
+        addr_by_rank, elements_per_thread, warp_size, layout
+    )
+    accesses = int(np.asarray(addr_by_rank).size)
+    return report_from_per_step(
+        warp_size, per_step.ravel(), accesses, accesses, int(replays.sum())
+    )
 
 
 def dense_report(dense: np.ndarray, num_banks: int) -> ConflictReport:

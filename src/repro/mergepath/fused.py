@@ -17,9 +17,11 @@ proportional to the round size. The fused layer collapses them:
   :class:`~repro.dmm.conflicts.ConflictReport` needs. No order array, no
   address matrices, no traces.
 * **numpy fallback** (extension absent or ``REPRO_FORCE_NUMPY=1``): the
-  sorter keeps the argsort merge and reuses its probe helpers, but counts
-  through :func:`repro.dmm.fused.permutation_stage_report` /
-  :func:`repro.dmm.fused.dense_report` instead of building traces.
+  sorter keeps the argsort merge and counts through the per-tile numpy
+  kernels every non-loop path shares —
+  :func:`repro.dmm.fused.tile_merge_counts` and
+  :func:`repro.mergepath.partition.probe_tile_counts` — instead of
+  building traces.
 
 Both backends are bit-identical to the ``scoring="loop"`` oracle
 (``tests/sort/test_fused_equivalence.py``).

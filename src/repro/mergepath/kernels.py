@@ -112,8 +112,7 @@ def stack_group_warp_steps(
     step_matrix: np.ndarray,
     num_groups: int,
     warp_size: int,
-    return_group_rows: bool = False,
-) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Per-group :func:`stack_warp_steps` with trailing-idle-step trimming.
 
     ``step_matrix`` is ``(steps, num_groups·group_size)``: the lanes of
@@ -123,13 +122,9 @@ def stack_group_warp_steps(
     steps. Equivalent to splitting into per-group matrices, dropping each
     group's trailing all-inactive steps, applying :func:`stack_warp_steps`
     to each, and stacking the results in group order — without the
-    per-group Python loop.
-
-    With ``return_group_rows=True``, also returns the length-``num_groups``
-    int64 array of output rows each group contributed (``kept_steps ·
-    warps_per_group``), so callers can split the stacked matrix back into
-    per-group chunks (the memoized scoring path does, to cache per-tile
-    reports).
+    per-group Python loop. This is the layout
+    :func:`~repro.mergepath.partition.probe_tile_counts` counts without
+    materializing it.
     """
     step_matrix = np.asarray(step_matrix, dtype=np.int64)
     if step_matrix.ndim != 2:
@@ -149,10 +144,7 @@ def stack_group_warp_steps(
         )
     warps = group_size // warp_size
     if steps == 0:
-        stacked = np.empty((0, warp_size), dtype=np.int64)
-        if return_group_rows:
-            return stacked, np.zeros(num_groups, dtype=np.int64)
-        return stacked
+        return np.empty((0, warp_size), dtype=np.int64)
 
     cube = step_matrix.reshape(steps, num_groups, group_size)
     group_active = (cube >= 0).any(axis=2)  # (steps, num_groups)
@@ -168,10 +160,7 @@ def stack_group_warp_steps(
     )
     keep = np.arange(steps)[None, :] < kept[:, None]  # (groups, steps)
     keep = np.broadcast_to(keep[:, None, :], (num_groups, warps, steps))
-    stacked = by_group[keep]
-    if return_group_rows:
-        return stacked, (kept * warps).astype(np.int64)
-    return stacked
+    return by_group[keep]
 
 
 def merge_stage_trace(

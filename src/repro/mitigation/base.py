@@ -3,19 +3,23 @@
 A mitigation is a *shared-memory layout policy*: it decides where each
 logical tile index physically lands (and therefore which bank services
 it) plus what the layout costs in shared-memory footprint. The simulator
-records logical tile indices everywhere; a mitigation's :meth:`remap`
-is applied to the recorded dense warp-step matrices *before* conflict
-scoring, exactly where ``pad_addresses`` used to be hard-wired.
+records logical tile indices everywhere; a mitigation's
+:meth:`physical` map is applied to them *before* conflict scoring,
+exactly where ``pad_addresses`` used to be hard-wired.
 
 The contract has four load-bearing pieces:
 
-``remap(dense, warp_size)``
-    Map a dense ``(rows, warp_size)`` step matrix of logical addresses
-    to physical addresses. Columns are warp lanes; negative entries are
-    inactive lanes and must pass through unchanged. Lane-aware schemes
-    (the cfree backends) key off the *column index*, which is stable
-    under the memoized path's tile-subset stacking — a remap must never
-    depend on the global row position or memo bit-identity breaks.
+``physical(addr, lane, warp_size)``
+    The layout itself, elementwise: the physical address of logical
+    tile index ``addr`` when warp lane ``lane`` accesses it (both
+    nonnegative, broadcastable). Lane-aware schemes (the cfree
+    backends) key off the lane, never off a row position, so scoring a
+    subset of tiles gives the same per-tile counts as scoring them all —
+    the memoized path relies on that. Within one warp step, distinct
+    logical addresses must land on distinct physical addresses (the
+    per-tile merge counting kernel needs no broadcast dedup because of
+    it). :meth:`Mitigation.remap` derives the dense-matrix form from it,
+    so each layout is defined once.
 
 ``shared_bytes(config)``
     Physical shared-memory footprint of one block tile under the
@@ -32,8 +36,8 @@ The contract has four load-bearing pieces:
 ``native_padding``
     ``int`` when the layout is expressible as Dotsenko padding (``0``
     for ``none``), which keeps the compiled fused kernels eligible;
-    ``None`` forces the numpy fused path, which scores the explicitly
-    remapped dense matrices.
+    ``None`` forces the numpy fused path, whose counting kernels apply
+    :meth:`physical` explicitly.
 
 Backends register themselves with
 :func:`repro.mitigation.registry.register_mitigation` and are summoned
@@ -71,7 +75,7 @@ class Mitigation(ABC):
 
     #: Dotsenko pad width when the layout is plain padding (``0`` means
     #: the identity layout), else ``None`` — which routes fused scoring
-    #: to the numpy path so the remap is applied explicitly.
+    #: to the numpy path so the layout is applied explicitly.
     native_padding: int | None = None
 
     @property
@@ -81,9 +85,26 @@ class Mitigation(ABC):
         contexts, cache keys, wire payloads, and CLI output."""
 
     @abstractmethod
+    def physical(
+        self, addr: np.ndarray, lane: np.ndarray, warp_size: int
+    ) -> np.ndarray:
+        """Physical address of logical tile index ``addr`` as accessed by
+        warp lane ``lane`` (elementwise, nonnegative, broadcastable)."""
+
     def remap(self, dense: np.ndarray, warp_size: int) -> np.ndarray:
         """Physical addresses for a dense ``(..., warp_size)`` logical
-        step matrix; negative (inactive-lane) entries pass through."""
+        step matrix whose trailing axis is the lane; negative
+        (inactive-lane) entries pass through."""
+        dense = np.asarray(dense, dtype=np.int64)
+        if dense.shape[-1] != warp_size:
+            raise ValueError(
+                "remap needs dense (..., warp_size) matrices: got trailing "
+                f"axis {dense.shape[-1]} for warp_size {warp_size}"
+            )
+        lanes = np.arange(warp_size, dtype=np.int64)
+        return np.where(
+            dense >= 0, self.physical(dense, lanes, warp_size), dense
+        )
 
     @abstractmethod
     def shared_bytes(self, config: SortConfig) -> int:

@@ -13,17 +13,15 @@ shared-memory pitch: a tile of ``T`` elements costs
 ``ceil(T / w) · 2w`` physical cells, which is the occupancy price the
 matrix experiment charges this backend.
 
-Like the cfree-sort layout, the remap keys off the dense-matrix column
-index only — stable under the memoized path's tile-subset re-stacking —
-and is outside both the analytic model and the compiled padded kernels.
+Like the cfree-sort layout, it keys off the accessing lane only — stable
+under the memoized path's tile-subset scoring — and is outside both the
+analytic model and the compiled padded kernels.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.mitigation.base import Mitigation
-from repro.mitigation.cfree_sort import lane_aligned_remap, lane_aligned_size
+from repro.mitigation.cfree_sort import lane_aligned_physical, lane_aligned_size
 from repro.sort.config import SortConfig
 
 __all__ = ["CFreePermuteMitigation"]
@@ -40,8 +38,8 @@ class CFreePermuteMitigation(Mitigation):
     def spec(self) -> str:
         return "cfree-permute"
 
-    def remap(self, dense: np.ndarray, warp_size: int) -> np.ndarray:
-        return lane_aligned_remap(dense, warp_size, pitch_rows=2)
+    def physical(self, addr, lane, warp_size):
+        return lane_aligned_physical(addr, lane, warp_size, pitch_rows=2)
 
     def shared_bytes(self, config: SortConfig) -> int:
         return (

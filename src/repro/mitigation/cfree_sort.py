@@ -13,43 +13,30 @@ models as the bank-aligned pitch: each logical row of ``w`` elements
 occupies a full ``w``-element physical row, so a tile of ``T`` elements
 needs ``ceil(T / w) · w`` physical cells. (The lane-ownership scheme
 also rules out the closed-form analytic model and the compiled padded
-kernels — scoring runs through the numpy dense path, where the remap is
-explicit.)
+kernels — scoring runs through the numpy counting kernels, which apply
+the layout explicitly.)
 
-The remap keys off the dense matrix *column index* (the lane), which is
-exactly what :func:`repro.dmm.stack_warp_steps` fixes per warp step and
-what the memoized path preserves when it re-stacks tile subsets, so
-memo bit-identity holds.
+The layout keys off the accessing *lane* only — never a row position —
+so scoring a subset of tiles gives the same per-tile counts as scoring
+them all, and memo bit-identity holds.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.mitigation.base import Mitigation
 from repro.sort.config import SortConfig
 
-__all__ = ["CFreeSortMitigation", "lane_aligned_remap", "lane_aligned_size"]
+__all__ = ["CFreeSortMitigation", "lane_aligned_physical", "lane_aligned_size"]
 
 
-def lane_aligned_remap(
-    dense: np.ndarray, warp_size: int, *, pitch_rows: int = 1
-) -> np.ndarray:
-    """Bank = lane remap of a dense ``(..., warp_size)`` step matrix.
+def lane_aligned_physical(addr, lane, warp_size: int, pitch_rows: int):
+    """Bank = lane layout: ``(a // w) · pitch_rows · w + lane``.
 
-    ``phys = (a // w) · pitch_rows · w + lane`` — the lane is the index
-    along the trailing axis. Negative (inactive-lane) entries pass
-    through unchanged.
+    ``w`` is a power of two, so the row index is a shift (it runs on
+    every probe of the counting kernels).
     """
-    dense = np.asarray(dense, dtype=np.int64)
-    if dense.shape[-1] != warp_size:
-        raise ValueError(
-            "lane-aligned remap needs dense (..., warp_size) matrices: "
-            f"got trailing axis {dense.shape[-1]} for warp_size {warp_size}"
-        )
-    lanes = np.arange(warp_size, dtype=np.int64)
-    out = (dense // warp_size) * (pitch_rows * warp_size) + lanes
-    return np.where(dense >= 0, out, dense)
+    row = addr >> (warp_size.bit_length() - 1)
+    return row * (pitch_rows * warp_size) + lane
 
 
 def lane_aligned_size(
@@ -73,8 +60,8 @@ class CFreeSortMitigation(Mitigation):
     def spec(self) -> str:
         return "cfree-sort"
 
-    def remap(self, dense: np.ndarray, warp_size: int) -> np.ndarray:
-        return lane_aligned_remap(dense, warp_size, pitch_rows=1)
+    def physical(self, addr, lane, warp_size):
+        return lane_aligned_physical(addr, lane, warp_size, pitch_rows=1)
 
     def shared_bytes(self, config: SortConfig) -> int:
         return (

@@ -8,8 +8,6 @@ whose cost model is exactly ``config.shared_bytes_per_block``.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.mitigation.base import Mitigation
 from repro.sort.config import SortConfig
 
@@ -17,7 +15,7 @@ __all__ = ["NoMitigation"]
 
 
 class NoMitigation(Mitigation):
-    """Identity remap; analytic-eligible; native pad width 0."""
+    """Identity layout; analytic-eligible; native pad width 0."""
 
     name = "none"
     analytic_supported = True
@@ -27,8 +25,8 @@ class NoMitigation(Mitigation):
     def spec(self) -> str:
         return "none"
 
-    def remap(self, dense: np.ndarray, warp_size: int) -> np.ndarray:
-        return np.asarray(dense, dtype=np.int64)
+    def physical(self, addr, lane, warp_size):
+        return addr
 
     def shared_bytes(self, config: SortConfig) -> int:
         return config.shared_bytes_per_block

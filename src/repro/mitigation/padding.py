@@ -73,7 +73,7 @@ def padded_shared_bytes(config: SortConfig, padding: int) -> int:
 class PaddingMitigation(Mitigation):
     """Registry backend wrapping the module's padding transform.
 
-    ``PaddingMitigation(pad).remap`` is :func:`pad_addresses` verbatim
+    ``PaddingMitigation(pad).remap`` equals :func:`pad_addresses`
     (bit-identity with the legacy path is regression-tested in
     ``tests/mitigation/test_matrix_equivalence.py``), and the analytic
     engine already models Dotsenko padding, so the backend stays
@@ -100,8 +100,9 @@ class PaddingMitigation(Mitigation):
     def spec(self) -> str:
         return f"padding:{self._padding}"
 
-    def remap(self, dense: np.ndarray, warp_size: int) -> np.ndarray:
-        return pad_addresses(dense, warp_size, self._padding)
+    def physical(self, addr, lane, warp_size):
+        # ``addr // w`` as a shift: ``w`` is a power of two.
+        return addr + (addr >> (warp_size.bit_length() - 1)) * self._padding
 
     def shared_bytes(self, config: SortConfig) -> int:
         return padded_shared_bytes(config, self._padding)

@@ -43,7 +43,7 @@ from repro.sort.config import SortConfig
 from repro.sort.pairwise import PairwiseMergeSort, RoundStats, SortResult
 from repro.utils.bits import ceil_log2
 from repro.utils.rng import as_generator
-from repro.utils.validation import check_power_of_two
+from repro.utils.validation import check_no_nan, check_power_of_two
 
 __all__ = ["MultiwaySort"]
 
@@ -107,6 +107,7 @@ class MultiwaySort:
         cfg = self.config
         arr = np.ascontiguousarray(values)
         n = cfg.validate_input_size(arr.size)
+        check_no_nan(arr, "sort keys")
         rng = as_generator(seed)
 
         result = SortResult(values=arr, config=cfg, num_elements=n)

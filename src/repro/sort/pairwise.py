@@ -25,8 +25,11 @@ Implementation notes (why this is fast enough to sweep):
   (A-first) merge exactly, and the resulting ``order`` array doubles as the
   per-rank shared-memory address map (DESIGN.md §5).
 * Conflict scoring is warp-additive, so all scored blocks of a round are
-  folded into a single stacked trace (`stack_warp_steps`) and scored with
-  one ``bincount`` pass.
+  counted at once, per tile, by two numpy kernels —
+  :func:`~repro.dmm.fused.tile_merge_counts` (merge stage) and
+  :func:`~repro.mergepath.partition.probe_tile_counts` (β₁ probes) —
+  with no traces or probe matrices; the memoized path counts only tiles
+  whose pattern it has not seen.
 * ``score_blocks`` caps how many tiles/blocks per round are scored
   (merging still processes all of them); the constructed adversarial
   inputs are periodic across blocks, so a small sample is *exact* for
@@ -40,25 +43,25 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.dmm.conflicts import ConflictReport, count_conflicts, report_segments
-from repro.dmm.fused import dense_report, permutation_stage_report
+from repro.dmm.conflicts import ConflictReport, count_conflicts
+from repro.dmm.fused import (
+    permutation_stage_report,
+    report_from_per_step,
+    tile_merge_counts,
+)
 from repro.dmm.memo import ConflictMemo, MemoStats
 from repro.dmm.trace import AccessTrace
 from repro.errors import SimulationError, ValidationError
 from repro.gpu.global_memory import CoalescingModel, GlobalTraffic
 from repro.gpu.timing import KernelCost
 from repro.mergepath import fused as fused_kernels
-from repro.mergepath.kernels import (
-    batched_rank_addresses,
-    stack_group_warp_steps,
-    stack_warp_steps,
-    thread_rank_addresses,
-)
-from repro.mergepath.partition import partition_many_with_trace
+from repro.mergepath.kernels import stack_warp_steps, thread_rank_addresses
+from repro.mergepath.partition import partition_many_with_trace, probe_tile_counts
 from repro.sort.config import SortConfig
-from repro.sort.networks import apply_oddeven_network
+from repro.sort.networks import apply_oddeven_network, oddeven_network
 from repro.utils.bits import ceil_log2
 from repro.utils.rng import as_generator
+from repro.utils.validation import check_no_nan
 
 __all__ = ["PairwiseMergeSort", "RoundStats", "SortResult"]
 
@@ -220,18 +223,19 @@ class PairwiseMergeSort:
         must never report closed-form numbers for layouts the model
         doesn't cover.
     scoring:
-        ``"vectorized"`` (default) batches every scored tile of a round
-        through one address-arithmetic pass, one
-        :func:`~repro.mergepath.partition.partition_many_with_trace` call
-        and one stacked conflict count; ``"loop"`` is the original
-        tile-at-a-time reference implementation. Both produce bit-identical
-        :class:`SortResult`\\ s (enforced by the equivalence tests) — keep
-        ``"loop"`` around only as the oracle. ``"fused"`` scores each round
-        in a single streaming pass with no ``AccessTrace`` intermediates
-        (:mod:`repro.mergepath.fused`), dispatching to the optional
-        compiled backend when it is importable and ``REPRO_FORCE_NUMPY``
-        is unset — again bit-identical, including the sampled-block RNG
-        draw order. ``"analytic"`` skips trace
+        ``"vectorized"`` (default) scores every scored tile of a round with
+        the per-tile counting kernels
+        (:func:`~repro.dmm.fused.tile_merge_counts`,
+        :func:`~repro.mergepath.partition.probe_tile_counts`) — through
+        the memo when there is one; ``"loop"`` is the original
+        tile-at-a-time, trace-based reference implementation. Both produce
+        bit-identical :class:`SortResult`\\ s (enforced by the equivalence
+        tests) — keep ``"loop"`` around only as the oracle. ``"fused"``
+        dispatches each round to the optional compiled backend
+        (:mod:`repro.mergepath.fused`) when it is importable and
+        ``REPRO_FORCE_NUMPY`` is unset, and otherwise runs the same
+        counting kernels memo-free — again bit-identical, including the
+        sampled-block RNG draw order. ``"analytic"`` skips trace
         simulation entirely: the input must be a recognized constructed
         family (sorted / strictly-decreasing / canonical sawtooth /
         worst-case — anything else raises
@@ -287,8 +291,11 @@ class PairwiseMergeSort:
         self.mitigation = reconcile_mitigation(mitigation, padding)
         native_pad = self.mitigation.native_padding
         #: Effective Dotsenko pad width; 0 for layouts the padding model
-        #: cannot express (those route scoring through the explicit remap).
+        #: cannot express (those route scoring through the explicit layout).
         self.padding = native_pad if native_pad is not None else 0
+        #: The layout scoring applies; ``None`` for the identity layout,
+        #: which skips the per-access call.
+        self._layout = None if native_pad == 0 else self.mitigation
         if self.scoring == "analytic" and not self.mitigation.analytic_supported:
             raise ValidationError(
                 "scoring='analytic' cannot model mitigation "
@@ -319,9 +326,9 @@ class PairwiseMergeSort:
         returns the matrix untouched. Dense ``(rows, w)`` matrices only —
         lane-aware backends key off the column index.
         """
-        if self.mitigation.native_padding == 0:
+        if self._layout is None:
             return step_matrix
-        return self.mitigation.remap(step_matrix, self.config.warp_size)
+        return self._layout.remap(step_matrix, self.config.warp_size)
 
     # -- public API ----------------------------------------------------------
 
@@ -347,6 +354,7 @@ class PairwiseMergeSort:
         cfg = self.config
         arr = np.ascontiguousarray(values)
         n = cfg.validate_input_size(arr.size)
+        check_no_nan(arr, "sort keys")
         if self.scoring == "analytic":
             # Closed-form path: recognize the input as a constructed family
             # and derive the result in O(rounds) arithmetic — bit-identical
@@ -397,19 +405,18 @@ class PairwiseMergeSort:
         n = arr.size
         tiles = n // cfg.tile_size
 
-        if self.scoring == "fused":
-            # The network sorts each row and its comparator count is
-            # input-independent (comparators × rows), so the fused path
-            # takes a plain row sort — bit-identical values, same
-            # instruction counter, none of the per-comparator numpy passes.
-            from repro.sort.networks import oddeven_network
-
-            sorted_rows = np.sort(arr.reshape(-1, cfg.E), axis=1)
-            comparator_ops = len(oddeven_network(cfg.E)) * sorted_rows.shape[0]
-        else:
+        if self.scoring == "loop":
             sorted_rows, comparator_ops = apply_oddeven_network(
                 arr.reshape(-1, cfg.E)
             )
+        else:
+            # The network sorts each row and its comparator count is
+            # input-independent (comparators × rows), so the fast paths
+            # take a plain row sort — bit-identical values for NaN-free
+            # keys (``sort`` rejects NaN), same instruction counter, none
+            # of the per-comparator numpy passes.
+            sorted_rows = np.sort(arr.reshape(-1, cfg.E), axis=1)
+            comparator_ops = len(oddeven_network(cfg.E)) * sorted_rows.shape[0]
         out = sorted_rows.reshape(-1)
 
         # Staging: thread t loads (then stores) addresses tE+j at step j.
@@ -499,7 +506,7 @@ class PairwiseMergeSort:
         self,
         flat_pre: np.ndarray,
         mat: np.ndarray,
-        order: np.ndarray,
+        order: np.ndarray | None,
         run: int,
         result: SortResult,
         score_blocks: int | None,
@@ -510,7 +517,9 @@ class PairwiseMergeSort:
         Tile layout during block rounds: pair ``g`` of a tile occupies the
         contiguous window ``[g·2L, (g+1)·2L)`` with its ``A`` run first, so
         the concatenated-pair index produced by ``order`` *is* the
-        tile-local offset within the pair window.
+        tile-local offset within the pair window. ``order is None`` marks
+        a native fused round: the merge already ran in the compiled
+        backend, which also rebuilds each scored tile's interleaving.
         """
         cfg = self.config
         n = flat_pre.size
@@ -519,21 +528,31 @@ class PairwiseMergeSort:
         pairs_per_tile = cfg.tile_size // pair_width
         scored = _choose_blocks(tiles, score_blocks, rng)
 
-        if self.scoring == "fused":
-            merge_report, part_report = self._block_reports_fused(
-                flat_pre, order, run, scored, pairs_per_tile
-            )
-        elif self.scoring == "loop":
+        if self.scoring == "loop":
             merge_report, part_report = self._block_reports_loop(
                 flat_pre, order, run, scored, pairs_per_tile
             )
-        elif self.memo is not None:
-            merge_report, part_report = self._block_reports_memoized(
-                flat_pre, order, run, scored, pairs_per_tile
+        elif order is None:
+            merge_report, part_report = fused_kernels.fused_block_reports(
+                flat_pre, scored, run, cfg.E, cfg.b, cfg.w, self.padding
             )
         else:
-            merge_report, part_report = self._block_reports_vectorized(
-                flat_pre, order, run, scored, pairs_per_tile
+            # The (tiles, bE) rank→address map in one shot: pair base +
+            # concatenated-pair index, per scored tile.
+            order_tiles = order.reshape(-1, pairs_per_tile, pair_width)[scored]
+            pair_bases = (
+                np.arange(pairs_per_tile, dtype=np.int64)[:, None] * pair_width
+            )
+            addr_by_rank = (order_tiles + pair_bases).reshape(
+                scored.size, cfg.tile_size
+            )
+            merge_report, part_report = self._counted_reports(
+                "block",
+                run,
+                addr_by_rank,
+                lambda pos: self._block_probe_counts(
+                    flat_pre, run, scored[pos], pairs_per_tile
+                ),
             )
 
         result.rounds.append(
@@ -551,56 +570,18 @@ class PairwiseMergeSort:
             )
         )
 
-    def _block_reports_vectorized(
-        self,
-        flat_pre: np.ndarray,
-        order: np.ndarray,
-        run: int,
-        scored: np.ndarray,
-        pairs_per_tile: int,
-    ) -> tuple[ConflictReport, ConflictReport]:
-        """All scored tiles of a block round in one batched pass."""
-        cfg = self.config
-        pair_width = 2 * run
-        num_scored = scored.size
-
-        # Merge stage: the (tiles, pairs, width) rank→address map in one
-        # shot — pair base + concatenated-pair index, per scored tile.
-        order_tiles = order.reshape(-1, pairs_per_tile, pair_width)[scored]
-        pair_bases = np.arange(pairs_per_tile, dtype=np.int64)[:, None] * pair_width
-        addr_by_rank = (order_tiles + pair_bases).reshape(num_scored, cfg.tile_size)
-        merge_dense = self._physical(
-            stack_warp_steps(batched_rank_addresses(addr_by_rank, cfg.E), cfg.w)
-        )
-        merge_report = count_conflicts(
-            AccessTrace.from_dense(merge_dense), cfg.w
-        )
-
-        # Partition stage: every scored tile's b diagonals in one
-        # partition_many_with_trace call over tiles·b lanes.
-        probe_steps = self._block_partition_probes(
-            flat_pre, run, scored, pairs_per_tile
-        )
-        part_dense = self._physical(
-            stack_group_warp_steps(probe_steps, num_scored, cfg.w)
-        )
-        part_report = _score_stacked(
-            [part_dense] if part_dense.size else [], cfg.w
-        )
-        return merge_report, part_report
-
-    def _block_partition_probes(
+    def _block_probe_counts(
         self,
         flat_pre: np.ndarray,
         run: int,
         scored: np.ndarray,
         pairs_per_tile: int,
-    ) -> np.ndarray:
-        """β₁ probe-step matrix for the given tiles of a block round.
+    ) -> tuple:
+        """β₁ probe counts (:func:`probe_tile_counts`) for the given tiles
+        of a block round.
 
         Thread t of a tile bisects diagonal ``tE mod 2L`` of pair
-        ``tE // 2L``; returns the ``(steps, tiles·b)`` lane matrix in tile
-        order for :func:`stack_group_warp_steps`.
+        ``tE // 2L``; every scored tile's b lanes go through one call.
         """
         cfg = self.config
         pair_width = 2 * run
@@ -615,7 +596,7 @@ class PairwiseMergeSort:
         a_base = (pair_global * pair_width).reshape(-1)
         trace_a = np.broadcast_to(local_base, (num_scored, cfg.b)).reshape(-1)
         lanes = num_scored * cfg.b
-        _, probe_steps = partition_many_with_trace(
+        return probe_tile_counts(
             flat_pre,
             a_base=a_base,
             a_len=np.full(lanes, run, dtype=np.int64),
@@ -624,102 +605,9 @@ class PairwiseMergeSort:
             diagonals=np.broadcast_to(diagonals, (num_scored, cfg.b)).reshape(-1),
             trace_a_base=trace_a,
             trace_b_base=trace_a + run,
-        )
-        return probe_steps
-
-    def _block_reports_fused(
-        self,
-        flat_pre: np.ndarray,
-        order: np.ndarray | None,
-        run: int,
-        scored: np.ndarray,
-        pairs_per_tile: int,
-    ) -> tuple[ConflictReport, ConflictReport]:
-        """Single-pass block-round scoring with no trace intermediates.
-
-        ``order is None`` marks a native round (the merge already ran in
-        the compiled backend, which also rebuilds each scored tile's
-        interleaving itself); otherwise the numpy fused path reuses the
-        vectorized address algebra but counts straight to report
-        aggregates.
-        """
-        cfg = self.config
-        if order is None:
-            return fused_kernels.fused_block_reports(
-                flat_pre, scored, run, cfg.E, cfg.b, cfg.w, self.padding
-            )
-        pair_width = 2 * run
-        num_scored = scored.size
-        order_tiles = order.reshape(-1, pairs_per_tile, pair_width)[scored]
-        pair_bases = np.arange(pairs_per_tile, dtype=np.int64)[:, None] * pair_width
-        addr_by_rank = (order_tiles + pair_bases).reshape(num_scored, cfg.tile_size)
-        merge_report = self._fused_merge_report(addr_by_rank)
-        probe_steps = self._block_partition_probes(
-            flat_pre, run, scored, pairs_per_tile
-        )
-        part_dense = self._physical(
-            stack_group_warp_steps(probe_steps, num_scored, cfg.w)
-        )
-        return merge_report, dense_report(part_dense, cfg.w)
-
-    def _fused_merge_report(self, addr_by_rank: np.ndarray) -> ConflictReport:
-        """Fused-path merge-stage report under the active layout.
-
-        Padding-expressible layouts take the specialized
-        :func:`~repro.dmm.fused.permutation_stage_report` fast path; other
-        backends (the cfree layouts) remap the dense warp-step matrix
-        explicitly and count it with :func:`~repro.dmm.fused.dense_report`
-        — bit-identical aggregates either way.
-        """
-        cfg = self.config
-        if self.mitigation.native_padding is not None:
-            return permutation_stage_report(
-                addr_by_rank, cfg.E, cfg.w, self.padding
-            )
-        dense = self.mitigation.remap(
-            stack_warp_steps(batched_rank_addresses(addr_by_rank, cfg.E), cfg.w),
-            cfg.w,
-        )
-        return dense_report(dense, cfg.w)
-
-    def _block_reports_memoized(
-        self,
-        flat_pre: np.ndarray,
-        order: np.ndarray,
-        run: int,
-        scored: np.ndarray,
-        pairs_per_tile: int,
-    ) -> tuple[ConflictReport, ConflictReport]:
-        """Memoized block round: score only tiles with unseen patterns.
-
-        The tile's rank→address row fully determines both reports — the
-        merge addresses directly, and the β₁ probe sequence because the
-        bisection comparisons recover the stable-merge order the row
-        encodes (see :mod:`repro.dmm.memo`).
-        """
-        cfg = self.config
-        pair_width = 2 * run
-        num_scored = scored.size
-
-        order_tiles = order.reshape(-1, pairs_per_tile, pair_width)[scored]
-        pair_bases = np.arange(pairs_per_tile, dtype=np.int64)[:, None] * pair_width
-        addr_by_rank = (order_tiles + pair_bases).reshape(num_scored, cfg.tile_size)
-        context = ConflictMemo.context(
-            "block",
-            num_banks=cfg.w,
-            elements_per_thread=cfg.E,
-            run_length=run,
-            padding=self.padding,
-            mitigation=self.mitigation.spec,
-        )
-        keys = ConflictMemo.tile_digests(context, addr_by_rank)
-        return self._reports_memoized(
-            context,
-            keys,
-            addr_by_rank,
-            lambda pos: self._block_partition_probes(
-                flat_pre, run, scored[pos], pairs_per_tile
-            ),
+            num_groups=num_scored,
+            warp_size=cfg.w,
+            layout=self._layout,
         )
 
     def _block_reports_loop(
@@ -783,13 +671,18 @@ class PairwiseMergeSort:
     def _score_global_round(
         self,
         mat: np.ndarray,
-        order: np.ndarray,
+        order: np.ndarray | None,
         run: int,
         result: SortResult,
         score_blocks: int | None,
         rng: np.random.Generator,
     ) -> None:
-        """Score a global round: each block merges a ``bE`` output quantile."""
+        """Score a global round: each block merges a ``bE`` output quantile.
+
+        ``order is None`` marks a native fused round: the compiled backend
+        derives each scored block's A/B window split by merge-path binary
+        search instead of reading the order array.
+        """
         cfg = self.config
         num_pairs, pair_width = mat.shape
         n = num_pairs * pair_width
@@ -797,21 +690,29 @@ class PairwiseMergeSort:
         blocks_total = num_pairs * blocks_per_pair
         scored = _choose_blocks(blocks_total, score_blocks, rng)
 
-        if self.scoring == "fused":
-            merge_report, part_report = self._global_reports_fused(
-                mat, order, run, scored, blocks_per_pair
-            )
-        elif self.scoring == "loop":
+        if self.scoring == "loop":
             merge_report, part_report = self._global_reports_loop(
                 mat, order, run, scored, blocks_per_pair
             )
-        elif self.memo is not None:
-            merge_report, part_report = self._global_reports_memoized(
-                mat, order, run, scored, blocks_per_pair
+        elif order is None:
+            merge_report, part_report = fused_kernels.fused_global_reports(
+                mat.reshape(-1), scored, run, cfg.E, cfg.b, cfg.w, self.padding
             )
         else:
-            merge_report, part_report = self._global_reports_vectorized(
+            local, pairs, a_lo, b_lo, na = self._global_patterns(
                 mat, order, run, scored, blocks_per_pair
+            )
+            # A global block's memo key also binds its A-window length:
+            # two blocks can share the permutation while splitting it
+            # differently between windows, which changes the β₁ probes.
+            merge_report, part_report = self._counted_reports(
+                "global",
+                run,
+                local,
+                lambda pos: self._global_probe_counts(
+                    mat, run, pairs[pos], a_lo[pos], b_lo[pos], na[pos]
+                ),
+                extra=na,
             )
 
         # Global traffic: every element is read and written once (coalesced),
@@ -836,39 +737,6 @@ class PairwiseMergeSort:
                 blocks_scored=len(scored),
             )
         )
-
-    def _global_reports_vectorized(
-        self,
-        mat: np.ndarray,
-        order: np.ndarray,
-        run: int,
-        scored: np.ndarray,
-        blocks_per_pair: int,
-    ) -> tuple[ConflictReport, ConflictReport]:
-        """All scored blocks of a global round in one batched pass."""
-        cfg = self.config
-        num_scored = scored.size
-
-        local, pairs, a_lo, b_lo, na = self._global_patterns(
-            mat, order, run, scored, blocks_per_pair
-        )
-        merge_dense = self._physical(
-            stack_warp_steps(batched_rank_addresses(local, cfg.E), cfg.w)
-        )
-        merge_report = count_conflicts(
-            AccessTrace.from_dense(merge_dense), cfg.w
-        )
-
-        probe_steps = self._global_partition_probes(
-            mat, run, pairs, a_lo, b_lo, na
-        )
-        part_dense = self._physical(
-            stack_group_warp_steps(probe_steps, num_scored, cfg.w)
-        )
-        part_report = _score_stacked(
-            [part_dense] if part_dense.size else [], cfg.w
-        )
-        return merge_report, part_report
 
     def _global_patterns(
         self,
@@ -895,27 +763,25 @@ class PairwiseMergeSort:
         # Per-pair prefix counts of A-sourced ranks, for window arithmetic.
         # Blocks start at tile boundaries, so tile-granular counts suffice —
         # one O(n) reduction instead of a per-element running sum.
-        src_a = order < run
-        tile_counts = src_a.reshape(num_pairs, blocks_per_pair, tile).sum(
-            axis=2, dtype=np.int64
+        # Row p·blocks_per_pair + k of ``by_block`` is block k of pair p.
+        by_block = order.reshape(-1, tile)
+        tile_counts = (by_block < run).sum(axis=1, dtype=np.int64).reshape(
+            num_pairs, blocks_per_pair
         )
         prefix = np.zeros((num_pairs, blocks_per_pair + 1), dtype=np.int64)
         np.cumsum(tile_counts, axis=1, out=prefix[:, 1:])
 
-        rank_cols = r_lo[:, None] + np.arange(tile, dtype=np.int64)
-        s = order[pairs[:, None], rank_cols]  # (blocks, tile)
+        s = by_block[scored]  # (blocks, tile)
         a_lo = prefix[pairs, block_in_pair]
         na = tile_counts[pairs, block_in_pair]
         b_lo = r_lo - a_lo
         # Tile layout: each block's A window at [0, na), B at [na, bE).
-        local = np.where(
-            s < run,
-            s - a_lo[:, None],
-            na[:, None] + (s - run - b_lo[:, None]),
+        local = s + np.where(
+            s < run, -a_lo[:, None], (na - run - b_lo)[:, None]
         )
         return local, pairs, a_lo, b_lo, na
 
-    def _global_partition_probes(
+    def _global_probe_counts(
         self,
         mat: np.ndarray,
         run: int,
@@ -923,8 +789,9 @@ class PairwiseMergeSort:
         a_lo: np.ndarray,
         b_lo: np.ndarray,
         na: np.ndarray,
-    ) -> np.ndarray:
-        """β₁ probe-step matrix for the given blocks of a global round.
+    ) -> tuple:
+        """β₁ probe counts (:func:`probe_tile_counts`) for the given blocks
+        of a global round.
 
         All blocks' diagonals go through one call against the flat
         pre-merge buffer (mat rows are contiguous windows of it).
@@ -935,192 +802,21 @@ class PairwiseMergeSort:
         num_scored = pairs.size
         lanes = num_scored * cfg.b
         pair_base = pairs * pair_width
-        a_base = np.repeat(pair_base + a_lo, cfg.b)
-        b_base = np.repeat(pair_base + run + b_lo, cfg.b)
-        _, probe_steps = partition_many_with_trace(
+        return probe_tile_counts(
             mat.reshape(-1),
-            a_base=a_base,
+            a_base=np.repeat(pair_base + a_lo, cfg.b),
             a_len=np.repeat(na, cfg.b),
-            b_base=b_base,
+            b_base=np.repeat(pair_base + run + b_lo, cfg.b),
             b_len=np.repeat(tile - na, cfg.b),
             diagonals=np.tile(
                 np.arange(cfg.b, dtype=np.int64) * cfg.E, num_scored
             ),
             trace_a_base=np.zeros(lanes, dtype=np.int64),
             trace_b_base=np.repeat(na, cfg.b),
+            num_groups=num_scored,
+            warp_size=cfg.w,
+            layout=self._layout,
         )
-        return probe_steps
-
-    def _global_reports_fused(
-        self,
-        mat: np.ndarray,
-        order: np.ndarray | None,
-        run: int,
-        scored: np.ndarray,
-        blocks_per_pair: int,
-    ) -> tuple[ConflictReport, ConflictReport]:
-        """Single-pass global-round scoring with no trace intermediates.
-
-        Same contract as :meth:`_block_reports_fused`: ``order is None``
-        routes to the compiled backend (which derives each scored block's
-        A/B window split by merge-path binary search instead of reading
-        the order array), otherwise the numpy fused path counts the
-        vectorized patterns directly.
-        """
-        cfg = self.config
-        if order is None:
-            return fused_kernels.fused_global_reports(
-                mat.reshape(-1), scored, run, cfg.E, cfg.b, cfg.w, self.padding
-            )
-        local, pairs, a_lo, b_lo, na = self._global_patterns(
-            mat, order, run, scored, blocks_per_pair
-        )
-        merge_report = self._fused_merge_report(local)
-        probe_steps = self._global_partition_probes(
-            mat, run, pairs, a_lo, b_lo, na
-        )
-        part_dense = self._physical(
-            stack_group_warp_steps(probe_steps, scored.size, cfg.w)
-        )
-        return merge_report, dense_report(part_dense, cfg.w)
-
-    def _global_reports_memoized(
-        self,
-        mat: np.ndarray,
-        order: np.ndarray,
-        run: int,
-        scored: np.ndarray,
-        blocks_per_pair: int,
-    ) -> tuple[ConflictReport, ConflictReport]:
-        """Memoized global round: score only blocks with unseen patterns.
-
-        A global block's key hashes its local rank→address row *and* its
-        A-window length ``na``: two blocks can share the permutation while
-        splitting it differently between windows, which changes the β₁
-        probe geometry (see :mod:`repro.dmm.memo`).
-        """
-        cfg = self.config
-        local, pairs, a_lo, b_lo, na = self._global_patterns(
-            mat, order, run, scored, blocks_per_pair
-        )
-        context = ConflictMemo.context(
-            "global",
-            num_banks=cfg.w,
-            elements_per_thread=cfg.E,
-            run_length=run,
-            padding=self.padding,
-            mitigation=self.mitigation.spec,
-        )
-        keys = ConflictMemo.tile_digests(context, local, extra=na)
-        return self._reports_memoized(
-            context,
-            keys,
-            local,
-            lambda pos: self._global_partition_probes(
-                mat, run, pairs[pos], a_lo[pos], b_lo[pos], na[pos]
-            ),
-        )
-
-    # -- memoized scoring --------------------------------------------------
-
-    def _reports_memoized(
-        self,
-        context: bytes,
-        keys: list[bytes],
-        patterns: np.ndarray,
-        probe_fn,
-    ) -> tuple[ConflictReport, ConflictReport]:
-        """Shared tile/round memo machinery for both round kinds.
-
-        ``patterns`` holds each scored tile's rank→address row (digested
-        into ``keys``); ``probe_fn(pos)`` returns the β₁ probe-step matrix
-        for the subset of scored tiles at positions ``pos``. Only tiles
-        whose pattern digest misses the memo are scored — in one batched
-        pass, split back into per-tile reports by
-        :func:`~repro.dmm.conflicts.report_segments` — and the round total
-        is assembled from per-tile reports exactly as the vectorized path
-        would have counted it.
-        """
-        cfg = self.config
-        memo = self.memo
-        hits_before, misses_before = memo.hits, memo.misses
-        try:
-            return self._reports_memoized_inner(context, keys, patterns, probe_fn)
-        finally:
-            # Attribute this round's lookups to the active layout so
-            # `cache stats` can break memo traffic down per mitigation.
-            ConflictMemo.record_mitigation(
-                self.mitigation.spec,
-                memo.hits - hits_before,
-                memo.misses - misses_before,
-            )
-
-    def _reports_memoized_inner(
-        self,
-        context: bytes,
-        keys: list[bytes],
-        patterns: np.ndarray,
-        probe_fn,
-    ) -> tuple[ConflictReport, ConflictReport]:
-        cfg = self.config
-        memo = self.memo
-
-        round_key = ConflictMemo.round_digest(context, keys)
-        cached = memo.get_round(round_key)
-        if cached is not None:
-            return cached
-
-        lookups = [memo.get_tile(k) for k in keys]
-        miss_pos: list[int] = []
-        seen: set[bytes] = set()
-        for i, (key, pair) in enumerate(zip(keys, lookups)):
-            if pair is None and key not in seen:
-                seen.add(key)
-                miss_pos.append(i)
-
-        fresh: dict[bytes, tuple[ConflictReport, ConflictReport]] = {}
-        if miss_pos:
-            pos = np.asarray(miss_pos, dtype=np.int64)
-            num_miss = pos.size
-            merge_dense = self._physical(
-                stack_warp_steps(
-                    batched_rank_addresses(patterns[pos], cfg.E), cfg.w
-                )
-            )
-            # Stacked merge rows are tile-major with a uniform per-tile
-            # share: (b/w) warps × E steps each.
-            rows_per_tile = (cfg.b // cfg.w) * cfg.E
-            merge_reports = report_segments(
-                AccessTrace.from_dense(merge_dense),
-                cfg.w,
-                np.arange(num_miss + 1, dtype=np.int64) * rows_per_tile,
-            )
-            stacked, group_rows = stack_group_warp_steps(
-                probe_fn(pos), num_miss, cfg.w, return_group_rows=True
-            )
-            part_reports = report_segments(
-                AccessTrace.from_dense(self._physical(stacked)),
-                cfg.w,
-                np.concatenate(([0], np.cumsum(group_rows))),
-            )
-            for j, i in enumerate(miss_pos):
-                pair = (merge_reports[j], part_reports[j])
-                memo.put_tile(keys[i], pair)
-                # FIFO eviction could drop a just-stored entry before the
-                # assembly below re-reads it; keep this round's pairs
-                # reachable locally.
-                fresh[keys[i]] = pair
-
-        pairs = [
-            pair if pair is not None else fresh[key]
-            for key, pair in zip(keys, lookups)
-        ]
-        assembled = (
-            _assemble_reports([p[0] for p in pairs], keys, cfg.w),
-            _assemble_reports([p[1] for p in pairs], keys, cfg.w),
-        )
-        memo.put_round(round_key, assembled)
-        return assembled
 
     def _global_reports_loop(
         self,
@@ -1177,6 +873,141 @@ class PairwiseMergeSort:
                 )
 
         return _score_stacked(merge_rows, cfg.w), _score_stacked(part_rows, cfg.w)
+
+    # -- counted scoring -------------------------------------------------
+
+    def _counted_reports(
+        self,
+        kind: str,
+        run: int,
+        patterns: np.ndarray,
+        probe_fn,
+        extra: np.ndarray | None = None,
+    ) -> tuple[ConflictReport, ConflictReport]:
+        """A round's (merge, partition) reports from the counting kernels.
+
+        ``patterns`` holds each scored tile's rank→address row;
+        ``probe_fn(pos)`` runs :func:`probe_tile_counts` over the scored
+        tiles at positions ``pos``. Without a memo every scored tile is
+        counted and concatenated in scored order; with one, only tiles
+        whose pattern digest misses the memo are counted.
+        """
+        cfg = self.config
+        if self.memo is None:
+            part_steps, _, accesses, requests, replays = probe_fn(slice(None))
+            return (
+                permutation_stage_report(patterns, cfg.E, cfg.w, self._layout),
+                report_from_per_step(
+                    cfg.w,
+                    part_steps,
+                    int(accesses.sum()),
+                    int(requests.sum()),
+                    int(replays.sum()),
+                ),
+            )
+        context = ConflictMemo.context(
+            kind,
+            num_banks=cfg.w,
+            elements_per_thread=cfg.E,
+            run_length=run,
+            padding=self.padding,
+            mitigation=self.mitigation.spec,
+        )
+        keys = ConflictMemo.tile_digests(context, patterns, extra=extra)
+        return self._reports_memoized(context, keys, patterns, probe_fn)
+
+    # -- memoized scoring --------------------------------------------------
+
+    def _reports_memoized(
+        self,
+        context: bytes,
+        keys: list[bytes],
+        patterns: np.ndarray,
+        probe_fn,
+    ) -> tuple[ConflictReport, ConflictReport]:
+        """Shared tile/round memo machinery for both round kinds.
+
+        ``keys`` digests each row of ``patterns``. Only tiles whose
+        pattern digest misses the memo are scored — in one batched pass of
+        :func:`~repro.dmm.fused.tile_merge_counts` and ``probe_fn``, whose
+        per-tile counts become per-tile reports — and the round total is
+        assembled from per-tile reports exactly as the unmemoized path
+        would have counted it.
+        """
+        memo = self.memo
+        hits_before, misses_before = memo.hits, memo.misses
+        try:
+            return self._reports_memoized_inner(context, keys, patterns, probe_fn)
+        finally:
+            # Attribute this round's lookups to the active layout so
+            # `cache stats` can break memo traffic down per mitigation.
+            ConflictMemo.record_mitigation(
+                self.mitigation.spec,
+                memo.hits - hits_before,
+                memo.misses - misses_before,
+            )
+
+    def _reports_memoized_inner(
+        self,
+        context: bytes,
+        keys: list[bytes],
+        patterns: np.ndarray,
+        probe_fn,
+    ) -> tuple[ConflictReport, ConflictReport]:
+        cfg = self.config
+        memo = self.memo
+
+        round_key = ConflictMemo.round_digest(context, keys)
+        cached = memo.get_round(round_key)
+        if cached is not None:
+            return cached
+
+        lookups = [memo.get_tile(k) for k in keys]
+        miss_pos: list[int] = []
+        seen: set[bytes] = set()
+        for i, (key, pair) in enumerate(zip(keys, lookups)):
+            if pair is None and key not in seen:
+                seen.add(key)
+                miss_pos.append(i)
+
+        fresh: dict[bytes, tuple[ConflictReport, ConflictReport]] = {}
+        if miss_pos:
+            pos = np.asarray(miss_pos, dtype=np.int64)
+            ranks = patterns.shape[1]
+            merge_steps, merge_replays = tile_merge_counts(
+                patterns[pos], cfg.E, cfg.w, self._layout
+            )
+            part_steps, tile_steps, accesses, requests, replays = probe_fn(pos)
+            part_periods = np.split(part_steps, np.cumsum(tile_steps)[:-1])
+            for j, i in enumerate(miss_pos):
+                pair = (
+                    report_from_per_step(
+                        cfg.w, merge_steps[j], ranks, ranks, merge_replays[j]
+                    ),
+                    report_from_per_step(
+                        cfg.w,
+                        part_periods[j],
+                        accesses[j],
+                        requests[j],
+                        replays[j],
+                    ),
+                )
+                memo.put_tile(keys[i], pair)
+                # FIFO eviction could drop a just-stored entry before the
+                # assembly below re-reads it; keep this round's pairs
+                # reachable locally.
+                fresh[keys[i]] = pair
+
+        pairs = [
+            pair if pair is not None else fresh[key]
+            for key, pair in zip(keys, lookups)
+        ]
+        assembled = (
+            _assemble_reports([p[0] for p in pairs], keys, cfg.w),
+            _assemble_reports([p[1] for p in pairs], keys, cfg.w),
+        )
+        memo.put_round(round_key, assembled)
+        return assembled
 
 
 def _choose_blocks(

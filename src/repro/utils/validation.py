@@ -17,6 +17,7 @@ from repro.errors import ValidationError
 __all__ = [
     "as_int",
     "check_in_range",
+    "check_no_nan",
     "check_nonnegative_int",
     "check_positive_int",
     "check_power_of_two",
@@ -69,3 +70,11 @@ def check_in_range(value: Any, name: str, low: int, high: int) -> int:
     if not low <= ivalue <= high:
         raise ValidationError(f"{name} must be in [{low}, {high}], got {ivalue}")
     return ivalue
+
+
+def check_no_nan(values: np.ndarray, name: str) -> None:
+    """Reject NaN keys: they have no place in a total order, and the
+    sorting networks' ``minimum``/``maximum`` comparators would copy one
+    NaN across a thread's registers."""
+    if values.dtype.kind in "fc" and np.isnan(values).any():
+        raise ValidationError(f"{name} must not contain NaN")

@@ -46,6 +46,12 @@ class TestCorrectness:
         labels = [r.label for r in result.rounds if "multiway" in r.label]
         assert labels == [f"multiway-round-L{cfg.tile_size}-K2"]
 
+    def test_rejects_nan_keys(self, cfg):
+        data = np.arange(cfg.tile_size * 4, dtype=np.float64)
+        data[5] = np.nan
+        with pytest.raises(ValidationError, match="NaN"):
+            MultiwaySort(cfg, k=4).sort(data)
+
     @pytest.mark.parametrize("k", [1, 3, 6])
     def test_rejects_bad_fan(self, cfg, k):
         with pytest.raises(ValidationError):

@@ -59,6 +59,24 @@ class TestSortCorrectness:
         with pytest.raises(ConfigurationError):
             PairwiseMergeSort(tiny_config).sort(np.arange(100))
 
+    @pytest.mark.parametrize("scoring", ["loop", "vectorized", "fused"])
+    def test_rejects_nan_keys(self, scoring):
+        """The register network's min/max comparators would copy one NaN
+        across a thread's registers (15 NaNs out of 1 in), and the row
+        sort of the fast paths would not: NaN keys are rejected."""
+        from repro.sort.presets import MGPU_MAXWELL
+
+        data = np.arange(MGPU_MAXWELL.tile_size * 2, dtype=np.float64)
+        data[100] = np.nan
+        with pytest.raises(ValidationError, match="NaN"):
+            PairwiseMergeSort(MGPU_MAXWELL, scoring=scoring).sort(data)
+
+    def test_float_keys_without_nan_sort(self, tiny_config, rng):
+        data = rng.standard_normal(tiny_config.tile_size * 2)
+        for scoring in ("loop", "vectorized"):
+            result = PairwiseMergeSort(tiny_config, scoring=scoring).sort(data)
+            assert np.array_equal(result.values, np.sort(data))
+
     def test_input_not_mutated(self, tiny_config, rng):
         data = rng.permutation(tiny_config.tile_size * 2)
         copy = data.copy()

@@ -142,6 +142,9 @@ class TestBenchKernels:
         out = capsys.readouterr().out
         assert "kernel_merge_pairs" in out
         assert "kernel_sort_fused" in out
+        # The counting kernels run on both backends, so their rows always do.
+        assert "kernel_tile_merge_counts" in out
+        assert "kernel_probe_tile_counts" in out
         import json
 
         document = json.loads(target.read_text())
@@ -174,7 +177,8 @@ class TestBenchKernels:
         )
         proc = subprocess.run(
             [sys.executable, str(gate), str(target), str(target),
-             "--require", "kernel_merge_pairs,kernel_sort_fused"],
+             "--require", "kernel_merge_pairs,kernel_tile_merge_counts,"
+             "kernel_probe_tile_counts,kernel_sort_fused"],
             capture_output=True,
             text=True,
         )
