@@ -288,12 +288,49 @@ def test_sweep_analytic_speed(benchmark):
 
 
 def test_construction_speed(benchmark):
+    """The un-merge cascade at paper scale: one composed window-local
+    index, O(N) over all levels, and one gather of the values."""
     from repro.adversary.permutation import worst_case_permutation
 
     n = THRUST_MAXWELL.tile_size * 128
     perm = benchmark.pedantic(
-        lambda: worst_case_permutation(THRUST_MAXWELL, n), rounds=3, iterations=1
+        lambda: worst_case_permutation(THRUST_MAXWELL, n),
+        rounds=5,
+        iterations=1,
+        warmup_rounds=1,
     )
     assert perm.size == n
     record(f"Harness worst-case construction: N={n:,}")
     record_timing("construction", **_timing_kwargs(benchmark), n=n)
+
+
+def test_sampled_verify_speed(benchmark):
+    """``verify_worst_case`` with its default 4 scored blocks per round.
+
+    The sort behind it runs on the numpy scoring path (the default
+    ``vectorized`` scoring never dispatches to the compiled backend), so
+    this row tracks sampled rounds that sort values and argsort only the
+    pair rows they score. Each call builds a fresh sorter, hence a fresh
+    memo: no iteration scores from an earlier one's cache.
+    """
+    from repro.adversary.permutation import worst_case_permutation
+    from repro.adversary.verify import verify_worst_case
+
+    n = THRUST_MAXWELL.tile_size * 128
+    perm = worst_case_permutation(THRUST_MAXWELL, n)
+    report = benchmark.pedantic(
+        lambda: verify_worst_case(THRUST_MAXWELL, perm),
+        rounds=5,
+        iterations=1,
+        warmup_rounds=1,
+    )
+    assert report.ok
+    record(f"Harness sampled verification: N={n:,} with 4 scored blocks/round")
+    record_timing(
+        "sampled_verify",
+        **_timing_kwargs(benchmark),
+        n=n,
+        score_blocks=4,
+        scoring="vectorized",
+        backend="numpy",
+    )

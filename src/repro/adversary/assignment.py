@@ -24,6 +24,7 @@ resulting totals match Theorems 3 and 9 exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -239,8 +240,13 @@ def greedy_read_order(
     return tuple(flags)
 
 
+@functools.lru_cache(maxsize=256)
 def construct_warp_assignment(w: int, e: int) -> WarpAssignment:
     """Dispatch to the right construction for ``(w, E)``.
+
+    Memoized: a :class:`WarpAssignment` is frozen, so callers share one
+    instance per ``(w, E)``. Failures are not cached — a
+    :class:`ConstructionError` is raised afresh on every call.
 
     * ``GCD(w, E) = E`` (``E`` a power of two ≤ ``w``) → sorted order is
       worst-case (:mod:`repro.adversary.power2`);

@@ -92,9 +92,14 @@ def unmerge_through_rounds(
 
     At each level, every merged run of length ``2L`` is split into its two
     pre-merge halves (``A`` in the first ``L`` slots, ``B`` in the second —
-    the in-memory layout the next-lower round reads). All pairs of a round
-    share one interleaving pattern, so each level is two fancy-indexing
-    operations over a ``(pairs, 2L)`` view.
+    the in-memory layout the next-lower round reads). All pairs of a level
+    share one interleaving pattern ``p``, so the level applies the same
+    window-local gather ``idx_L = concat(flatnonzero(p), flatnonzero(~p))``
+    to every ``2L`` window, and the levels below act identically on both
+    halves of it. The whole cascade is therefore one window-local index,
+    composed bottom-up as ``q ← idx_L[concat(q, q + L)]`` — ``O(N)`` work in
+    total, since level ``L`` touches ``2L`` entries — and one gather of the
+    values at the end: a value-independent position permutation.
 
     ``target_runs`` restricts the adversarial interleaving to specific run
     lengths — this is how partial adversaries like the Karsin-style
@@ -114,8 +119,11 @@ def unmerge_through_rounds(
             f"off_target must be 'sorted' or 'random', got {off_target!r}"
         )
     rng = as_generator(seed)
-    arr = np.asarray(sorted_values).copy()
-    n = arr.size
+    values = np.asarray(sorted_values).reshape(-1)
+    n = values.size
+    # Patterns are drawn top-down (largest run first), which keeps the
+    # order of the "random" off-target draws; composition runs bottom-up.
+    patterns: list[np.ndarray] = []
     run = n // 2
     while run >= config.E:
         if target_runs is None or run in target_runs:
@@ -125,11 +133,35 @@ def unmerge_through_rounds(
             pattern[rng.choice(2 * run, size=run, replace=False)] = True
         else:
             pattern = sorted_interleave(2 * run)
-        pair_width = 2 * run
-        mat = arr.reshape(-1, pair_width)
-        out = np.empty_like(mat)
-        out[:, :run] = mat[:, pattern]
-        out[:, run:] = mat[:, ~pattern]
-        arr = out.reshape(-1)
+        patterns.append(pattern)
         run //= 2
-    return arr
+    if not patterns:
+        return values.copy()
+    if patterns[0].size != n or any(
+        upper.size != 2 * lower.size for upper, lower in zip(patterns, patterns[1:])
+    ):
+        raise ValidationError(
+            f"{n} elements do not halve into runs of E={config.E}; "
+            "the cascade needs N = E·2^k"
+        )
+
+    # The window-local index ``q`` grows in place from 2E to N entries of
+    # one buffer. Each level's pattern is balanced (L slots from each run),
+    # so idx_L[q] = flatnonzero(p)[q] and idx_L[q + L] = flatnonzero(~p)[q]:
+    # the upper half is written first, then the lower half overwrites q.
+    # ``np.take`` reads each index before writing its slot, and
+    # mode="clip" (indices are in range by construction) makes it write
+    # ``out`` directly instead of through a temporary.
+    composed = np.empty(n, dtype=np.intp)
+    lowest = patterns[-1].size // 2
+    composed[:lowest] = np.arange(lowest)
+    for pattern in reversed(patterns):
+        half = pattern.size // 2
+        q = composed[:half]
+        upper = composed[half : pattern.size]
+        np.take(np.flatnonzero(~pattern), q, out=upper, mode="clip")
+        np.take(np.flatnonzero(pattern), q, out=q, mode="clip")
+    if values.dtype == composed.dtype:
+        # The one gather of the values can reuse the index buffer too.
+        return np.take(values, composed, out=composed, mode="clip")
+    return values.take(composed)

@@ -23,7 +23,10 @@ Implementation notes (why this is fast enough to sweep):
 * A merge round is computed for *all* pairs at once with one stable
   row-wise ``argsort`` — for two sorted halves this reproduces the stable
   (A-first) merge exactly, and the resulting ``order`` array doubles as the
-  per-rank shared-memory address map (DESIGN.md §5).
+  per-rank shared-memory address map (DESIGN.md §5). Sampled rounds sort
+  values and argsort only scored rows: a stable row sort gives the same
+  merged values, and only the pair rows the scored tiles read need an
+  address map (DESIGN.md §12).
 * Conflict scoring is warp-additive, so all scored blocks of a round are
   counted at once, per tile, by two numpy kernels —
   :func:`~repro.dmm.fused.tile_merge_counts` (merge stage) and
@@ -405,16 +408,18 @@ class PairwiseMergeSort:
         n = arr.size
         tiles = n // cfg.tile_size
 
-        if self.scoring == "loop":
+        if self.scoring == "loop" or _has_both_zeros(arr):
             sorted_rows, comparator_ops = apply_oddeven_network(
                 arr.reshape(-1, cfg.E)
             )
         else:
             # The network sorts each row and its comparator count is
             # input-independent (comparators × rows), so the fast paths
-            # take a plain row sort — bit-identical values for NaN-free
-            # keys (``sort`` rejects NaN), same instruction counter, none
-            # of the per-comparator numpy passes.
+            # take a plain row sort — same instruction counter, none of
+            # the per-comparator numpy passes. The values are bit-identical
+            # whenever equal keys are identical bits: ``sort`` rejects NaN,
+            # and inputs holding both -0.0 and +0.0 (equal, but ordered by
+            # the network's comparator sequence) take the network above.
             sorted_rows = np.sort(arr.reshape(-1, cfg.E), axis=1)
             comparator_ops = len(oddeven_network(cfg.E)) * sorted_rows.shape[0]
         out = sorted_rows.reshape(-1)
@@ -471,6 +476,16 @@ class PairwiseMergeSort:
         num_pairs = n // pair_width
 
         mat = arr.reshape(num_pairs, pair_width)
+        block_round = pair_width <= cfg.tile_size
+        if block_round:
+            # Each tile holds ``per`` whole pair rows.
+            per = cfg.tile_size // pair_width
+            scored = _choose_blocks(num_pairs // per, score_blocks, rng)
+        else:
+            # Each pair row holds ``per`` global blocks.
+            per = pair_width // cfg.tile_size
+            scored = _choose_blocks(num_pairs * per, score_blocks, rng)
+
         used_scratch = False
         if (
             self.scoring == "fused"
@@ -490,14 +505,31 @@ class PairwiseMergeSort:
         else:
             # Stable argsort of [A | B] rows == stable (A-first) merge:
             # equal keys keep index order, and A occupies the lower indices.
-            order = np.argsort(mat, axis=1, kind="stable")
-            merged = np.take_along_axis(mat, order, axis=1)
+            # ``order`` is needed only for the pair rows the scored tiles
+            # read (the loop oracle indexes every row).
+            if block_round:
+                rows = (scored[:, None] * per + np.arange(per)).reshape(-1)
+            else:
+                rows = np.unique(scored // per)
+            if self.scoring == "loop" or rows.size == num_pairs:
+                order = np.argsort(mat, axis=1, kind="stable")
+                merged = _gather_rows(arr, order)
+            else:
+                order = np.argsort(mat[rows], axis=1, kind="stable")
+                merged = None
 
-        if pair_width <= cfg.tile_size:
-            self._score_block_round(arr, mat, order, run, result, score_blocks, rng)
+        if block_round:
+            self._score_block_round(arr, order, run, result, scored)
         else:
-            self._score_global_round(mat, order, run, result, score_blocks, rng)
+            self._score_global_round(mat, order, run, result, scored)
 
+        if merged is None:
+            # Sampled round: only the scored rows were argsorted. A stable
+            # row sort yields exactly the values the stable argsort would
+            # gather (ties and signed zeros included); it runs in place,
+            # once scoring no longer reads the pre-merge values.
+            mat.sort(axis=1, kind="stable")
+            merged = mat
         return merged.reshape(-1), used_scratch
 
     # -- block (base-case) rounds ---------------------------------------
@@ -505,28 +537,27 @@ class PairwiseMergeSort:
     def _score_block_round(
         self,
         flat_pre: np.ndarray,
-        mat: np.ndarray,
         order: np.ndarray | None,
         run: int,
         result: SortResult,
-        score_blocks: int | None,
-        rng: np.random.Generator,
+        scored: np.ndarray,
     ) -> None:
         """Score a block-level round: merges happen inside each tile.
 
         Tile layout during block rounds: pair ``g`` of a tile occupies the
         contiguous window ``[g·2L, (g+1)·2L)`` with its ``A`` run first, so
         the concatenated-pair index produced by ``order`` *is* the
-        tile-local offset within the pair window. ``order is None`` marks
-        a native fused round: the merge already ran in the compiled
-        backend, which also rebuilds each scored tile's interleaving.
+        tile-local offset within the pair window. ``order`` holds the pair
+        rows of the ``scored`` tiles, in order (every row for the loop
+        oracle). ``order is None`` marks a native fused round: the merge
+        already ran in the compiled backend, which also rebuilds each
+        scored tile's interleaving.
         """
         cfg = self.config
         n = flat_pre.size
         pair_width = 2 * run
         tiles = n // cfg.tile_size
         pairs_per_tile = cfg.tile_size // pair_width
-        scored = _choose_blocks(tiles, score_blocks, rng)
 
         if self.scoring == "loop":
             merge_report, part_report = self._block_reports_loop(
@@ -539,7 +570,7 @@ class PairwiseMergeSort:
         else:
             # The (tiles, bE) rank→address map in one shot: pair base +
             # concatenated-pair index, per scored tile.
-            order_tiles = order.reshape(-1, pairs_per_tile, pair_width)[scored]
+            order_tiles = order.reshape(scored.size, pairs_per_tile, pair_width)
             pair_bases = (
                 np.arange(pairs_per_tile, dtype=np.int64)[:, None] * pair_width
             )
@@ -674,21 +705,21 @@ class PairwiseMergeSort:
         order: np.ndarray | None,
         run: int,
         result: SortResult,
-        score_blocks: int | None,
-        rng: np.random.Generator,
+        scored: np.ndarray,
     ) -> None:
         """Score a global round: each block merges a ``bE`` output quantile.
 
-        ``order is None`` marks a native fused round: the compiled backend
-        derives each scored block's A/B window split by merge-path binary
-        search instead of reading the order array.
+        ``order`` holds the distinct pair rows of the ``scored`` blocks, in
+        ascending order (every row for the loop oracle). ``order is None``
+        marks a native fused round: the compiled backend derives each
+        scored block's A/B window split by merge-path binary search
+        instead of reading the order array.
         """
         cfg = self.config
         num_pairs, pair_width = mat.shape
         n = num_pairs * pair_width
         blocks_per_pair = pair_width // cfg.tile_size
         blocks_total = num_pairs * blocks_per_pair
-        scored = _choose_blocks(blocks_total, score_blocks, rng)
 
         if self.scoring == "loop":
             merge_report, part_report = self._global_reports_loop(
@@ -700,7 +731,7 @@ class PairwiseMergeSort:
             )
         else:
             local, pairs, a_lo, b_lo, na = self._global_patterns(
-                mat, order, run, scored, blocks_per_pair
+                order, run, scored, blocks_per_pair
             )
             # A global block's memo key also binds its A-window length:
             # two blocks can share the permutation while splitting it
@@ -740,7 +771,6 @@ class PairwiseMergeSort:
 
     def _global_patterns(
         self,
-        mat: np.ndarray,
         order: np.ndarray,
         run: int,
         scored: np.ndarray,
@@ -748,32 +778,35 @@ class PairwiseMergeSort:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Per-scored-block rank→address patterns and window geometry.
 
+        ``order`` holds the distinct pair rows of ``scored``, ascending.
         Returns ``(local, pairs, a_lo, b_lo, na)``: the ``(blocks, bE)``
         tile-local address map plus each block's owning pair and A/B window
         offsets/length, shared by the vectorized and memoized paths.
         """
-        cfg = self.config
-        num_pairs, pair_width = mat.shape
-        tile = cfg.tile_size
+        tile = self.config.tile_size
 
         pairs = scored // blocks_per_pair
         block_in_pair = scored % blocks_per_pair
         r_lo = block_in_pair * tile
+        # Row i of ``order`` is the i-th distinct scored pair.
+        pos = np.searchsorted(np.unique(pairs), pairs)
 
-        # Per-pair prefix counts of A-sourced ranks, for window arithmetic.
+        # Per-row prefix counts of A-sourced ranks, for window arithmetic.
         # Blocks start at tile boundaries, so tile-granular counts suffice —
-        # one O(n) reduction instead of a per-element running sum.
-        # Row p·blocks_per_pair + k of ``by_block`` is block k of pair p.
+        # one reduction over the scored rows instead of a running sum.
+        # Row i·blocks_per_pair + k of ``by_block`` is block k of row i.
         by_block = order.reshape(-1, tile)
         tile_counts = (by_block < run).sum(axis=1, dtype=np.int64).reshape(
-            num_pairs, blocks_per_pair
+            -1, blocks_per_pair
         )
-        prefix = np.zeros((num_pairs, blocks_per_pair + 1), dtype=np.int64)
+        prefix = np.zeros(
+            (tile_counts.shape[0], blocks_per_pair + 1), dtype=np.int64
+        )
         np.cumsum(tile_counts, axis=1, out=prefix[:, 1:])
 
-        s = by_block[scored]  # (blocks, tile)
-        a_lo = prefix[pairs, block_in_pair]
-        na = tile_counts[pairs, block_in_pair]
+        s = by_block[pos * blocks_per_pair + block_in_pair]  # (blocks, tile)
+        a_lo = prefix[pos, block_in_pair]
+        na = tile_counts[pos, block_in_pair]
         b_lo = r_lo - a_lo
         # Tile layout: each block's A window at [0, na), B at [na, bE).
         local = s + np.where(
@@ -1017,11 +1050,12 @@ def _choose_blocks(
 
     The RNG is consumed exactly when sampling happens (``score_blocks``
     given and strictly below ``total``) — never for validation or for
-    trace-everything rounds. Both scoring paths call this once per round
-    with identical arguments, which keeps sampled-block selection (and
-    therefore the pooled-vs-serial bit-identity guarantee of
-    :func:`repro.engine.execute_items`) stable across implementations; the draw
-    order is pinned by ``tests/sort/test_pairwise.py``.
+    trace-everything rounds. ``_merge_round`` calls this once per round,
+    before merging, with identical arguments on every scoring path, which
+    keeps sampled-block selection (and therefore the pooled-vs-serial
+    bit-identity guarantee of :func:`repro.engine.execute_items`) stable
+    across implementations; the draw order is pinned by
+    ``tests/sort/test_pairwise.py``.
     """
     if score_blocks is not None and score_blocks < 1:
         # Bad user input, not a simulator inconsistency — rejected before
@@ -1032,6 +1066,27 @@ def _choose_blocks(
     return np.sort(rng.choice(total, size=score_blocks, replace=False)).astype(
         np.int64
     )
+
+
+def _has_both_zeros(arr: np.ndarray) -> bool:
+    """Whether float keys hold both ``-0.0`` and ``+0.0``."""
+    if arr.dtype.kind != "f":
+        return False
+    signs = np.signbit(arr[arr == 0])
+    return bool(signs.any() and not signs.all())
+
+
+def _gather_rows(flat: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """``take_along_axis(flat.reshape(order.shape), order, axis=1)``.
+
+    One flat ``take``: each row's offset is added to ``order`` in place
+    and removed again afterwards, so no index-sized temporary is built.
+    """
+    offsets = np.arange(0, flat.size, order.shape[1])[:, None]
+    order += offsets
+    merged = np.take(flat, order)
+    order -= offsets
+    return merged
 
 
 def _assemble_reports(

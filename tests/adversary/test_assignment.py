@@ -154,3 +154,15 @@ class TestConstructDispatch:
     def test_e_equal_w_is_power_case(self):
         wa = construct_warp_assignment(16, 16)
         assert wa.aligned_count() == 256
+
+    def test_memoized_per_w_e(self):
+        """Sweep points construct the same assignment repeatedly; the
+        frozen result is shared rather than rebuilt."""
+        first = construct_warp_assignment(32, 15)
+        assert construct_warp_assignment(32, 15) is first
+        assert construct_warp_assignment(32, 17) is not first
+
+    def test_failures_not_cached(self):
+        for _ in range(2):
+            with pytest.raises(ConstructionError, match="GCD"):
+                construct_warp_assignment(32, 12)
