@@ -10,8 +10,8 @@ document (see ``benchmarks/conftest.py``); the committed baseline lives in
 ``BENCH_simulator.json`` and ``benchmarks/check_regression.py`` gates CI
 on it. The exact path is benchmarked under both scoring implementations so
 the vectorized path's speedup over the per-tile loop stays visible in the
-trajectory, and the sweep is benchmarked memoized so the pattern-memo's
-cross-point speedup is a tracked number rather than a one-off claim.
+trajectory, and an exact sweep of the periodic constructed inputs tracks
+what counting each run of equal tiles once buys.
 """
 
 import time
@@ -37,10 +37,7 @@ def _timing_kwargs(benchmark) -> dict:
 def test_exact_simulation_speed(benchmark):
     n = THRUST_MAXWELL.tile_size * 16
     data = generate("random", THRUST_MAXWELL, n, seed=0)
-    # memo=None: this timing tracks the raw vectorized path — with a memo,
-    # every benchmark iteration after the first would score from cache and
-    # the median would measure lookups, not scoring.
-    sorter = PairwiseMergeSort(THRUST_MAXWELL, memo=None)
+    sorter = PairwiseMergeSort(THRUST_MAXWELL)
     result = benchmark(sorter.sort, data)
     assert np.array_equal(result.values, np.sort(data))
     record(f"Harness exact simulation: N={n:,} fully traced")
@@ -64,7 +61,7 @@ def test_exact_simulation_speed_loop_reference(benchmark):
 def test_sampled_simulation_speed(benchmark):
     n = THRUST_MAXWELL.tile_size * 128
     data = generate("random", THRUST_MAXWELL, n, seed=0)
-    sorter = PairwiseMergeSort(THRUST_MAXWELL, memo=None)
+    sorter = PairwiseMergeSort(THRUST_MAXWELL)
     result = benchmark.pedantic(
         lambda: sorter.sort(data, score_blocks=8), rounds=3, iterations=1
     )
@@ -170,62 +167,56 @@ def test_sampled_fused_speed(benchmark):
         )
 
 
-def test_sweep_memoized_speed(benchmark):
-    """Exact adversarial + sorted sweep over 6 sizes with one shared memo.
+def _vectorized_sweep(sizes, inputs):
+    """Exact default-path sweep points, one fresh runner.
 
-    The sweep's rounds repeat heavily within and across points (the
-    constructed inputs are periodic by design), which is exactly what the
-    pattern memo exploits; the unmemoized pass over the same points is
-    timed once for the ratio, and the memoized points must be bit-identical
-    to it.
+    Pinned to simulated vectorized scoring: under the registry-wide
+    "auto" default these constructed families route analytic, and this
+    row measures the simulator.
     """
     from repro.bench.runner import SweepRunner
     from repro.gpu.device import get_device
 
-    device = get_device("quadro-m4000")
+    runner = SweepRunner(
+        THRUST_MAXWELL,
+        get_device("quadro-m4000"),
+        score_blocks=None,
+        scoring="vectorized",
+    )
+    return [runner.sweep(name, sizes) for name in inputs]
+
+
+def test_sweep_exact_speed(benchmark):
+    """Exact adversarial + sorted sweep over 6 sizes on the default path.
+
+    The constructed inputs are periodic, so most rounds are runs of equal
+    tiles that the scorer counts once each. The points must equal the
+    closed-form engine's.
+    """
+    from repro.bench.runner import SweepRunner
+    from repro.gpu.device import get_device
+
     sizes = [THRUST_MAXWELL.tile_size * (1 << k) for k in range(6)]
     inputs = ("worst-case", "sorted")
-
-    def sweep(memo):
-        # Pinned to simulated vectorized scoring: under the registry-wide
-        # "auto" default these constructed families route analytic and
-        # the memo never engages — this benchmark measures the simulator.
-        runner = SweepRunner(
-            THRUST_MAXWELL, device, score_blocks=None, memo=memo,
-            scoring="vectorized",
-        )
-        return [runner.sweep(name, sizes) for name in inputs]
-
-    start = time.perf_counter()
-    baseline_points = sweep(None)
-    unmemo_seconds = time.perf_counter() - start
-
-    points = benchmark.pedantic(lambda: sweep("auto"), rounds=3, iterations=1)
-    assert points == baseline_points  # memoization never changes BenchPoints
-
-    memo_seconds = benchmark.stats.stats.median
-    ratio = unmemo_seconds / memo_seconds if memo_seconds else float("inf")
+    points = benchmark.pedantic(
+        lambda: _vectorized_sweep(sizes, inputs), rounds=3, iterations=1
+    )
+    analytic = SweepRunner(
+        THRUST_MAXWELL, get_device("quadro-m4000"), score_blocks=None,
+        scoring="analytic",
+    )
+    assert points == [analytic.sweep(name, sizes) for name in inputs]
     record(
-        f"Harness memoized sweep: {len(inputs)}x{len(sizes)} exact points, "
-        f"{ratio:.1f}x over unmemoized"
+        f"Harness exact sweep: {len(inputs)}x{len(sizes)} exact points, "
+        "default path"
     )
     record_timing(
-        "sweep_memoized",
+        "sweep_exact",
         **_timing_kwargs(benchmark),
         sizes=len(sizes),
         inputs=list(inputs),
         max_n=max(sizes),
     )
-    record_timing(
-        "sweep_unmemoized",
-        unmemo_seconds,
-        sizes=len(sizes),
-        inputs=list(inputs),
-        max_n=max(sizes),
-    )
-    # The ≥3x target is asserted loosely here (CI runners are noisy); the
-    # committed baseline + check_regression gate the absolute timing.
-    assert memo_seconds < unmemo_seconds
 
 
 def test_sweep_analytic_speed(benchmark):
@@ -234,8 +225,9 @@ def test_sweep_analytic_speed(benchmark):
     point. The runner is shared across rounds (one warmup pays the
     engine's per-process class-scoring cost) because the number tracked
     here is the steady-state per-request cost of a warm daemon — the
-    regime the service serves sweeps in. The memoized sweep is timed
-    once in-run so the speedup is a measured ratio; the acceptance floor
+    regime the service serves sweeps in. The default-path sweep
+    (``sweep_exact``) is timed once in-run so the speedup is a measured
+    ratio; the acceptance floor
     is 100x (measured ~1000x), and the absolute timing is gated by the
     committed ``analytic_sweep`` baseline row through
     ``check_regression``.
@@ -243,22 +235,15 @@ def test_sweep_analytic_speed(benchmark):
     from repro.bench.runner import SweepRunner
     from repro.gpu.device import get_device
 
-    device = get_device("quadro-m4000")
     sizes = [THRUST_MAXWELL.tile_size * (1 << k) for k in range(6)]
     inputs = ("worst-case", "sorted")
 
     start = time.perf_counter()
-    # Pinned to vectorized: the "auto" default would itself route these
-    # constructed families analytic, collapsing the measured ratio to ~1.
-    memo_runner = SweepRunner(
-        THRUST_MAXWELL, device, score_blocks=None, memo="auto",
-        scoring="vectorized",
-    )
-    baseline_points = [memo_runner.sweep(name, sizes) for name in inputs]
-    memo_seconds = time.perf_counter() - start
+    baseline_points = _vectorized_sweep(sizes, inputs)
+    simulated_seconds = time.perf_counter() - start
 
     runner = SweepRunner(
-        THRUST_MAXWELL, device, score_blocks=None, memo=None,
+        THRUST_MAXWELL, get_device("quadro-m4000"), score_blocks=None,
         scoring="analytic",
     )
     points = benchmark.pedantic(
@@ -270,10 +255,12 @@ def test_sweep_analytic_speed(benchmark):
     assert points == baseline_points  # closed form never changes BenchPoints
 
     analytic_seconds = benchmark.stats.stats.median
-    ratio = memo_seconds / analytic_seconds if analytic_seconds else float("inf")
+    ratio = (
+        simulated_seconds / analytic_seconds if analytic_seconds else float("inf")
+    )
     record(
         f"Harness analytic sweep: {len(inputs)}x{len(sizes)} exact points, "
-        f"{ratio:.0f}x over memoized simulation"
+        f"{ratio:.0f}x over default-path simulation"
     )
     record_timing(
         "analytic_sweep",
@@ -284,7 +271,9 @@ def test_sweep_analytic_speed(benchmark):
     )
     # Acceptance floor for the closed form; measured ~1000x warm, so
     # 100x leaves ample room for CI noise.
-    assert ratio >= 100, f"analytic sweep only {ratio:.1f}x over memoized"
+    assert ratio >= 100, (
+        f"analytic sweep only {ratio:.1f}x over default-path simulation"
+    )
 
 
 def test_construction_speed(benchmark):
@@ -310,8 +299,7 @@ def test_sampled_verify_speed(benchmark):
     The sort behind it runs on the numpy scoring path (the default
     ``vectorized`` scoring never dispatches to the compiled backend), so
     this row tracks sampled rounds that sort values and argsort only the
-    pair rows they score. Each call builds a fresh sorter, hence a fresh
-    memo: no iteration scores from an earlier one's cache.
+    pair rows they score.
     """
     from repro.adversary.permutation import worst_case_permutation
     from repro.adversary.verify import verify_worst_case

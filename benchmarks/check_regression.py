@@ -26,7 +26,7 @@ row (or mangles it) would drop the row out of the gated set and pass.
 ``--require NAME[,NAME...]`` closes it for load-bearing rows — each
 named timing must be present and well-formed in both documents or the
 check fails. CI requires the engine-critical rows
-(``exact_vectorized``, ``sweep_memoized``, ``analytic_sweep``) so an
+(``exact_vectorized``, ``sweep_exact``, ``analytic_sweep``) so an
 execution-engine change can neither slow them past the threshold nor
 un-measure them.
 

@@ -86,7 +86,7 @@ def check_fidelity(client: ServiceClient) -> None:
     )
     config = preset(PRESET)
     data = generate("worst-case", config, config.tile_size * TILES, seed=0)
-    direct = PairwiseMergeSort(config, memo="auto").sort(
+    direct = PairwiseMergeSort(config).sort(
         data, score_blocks=SCORE_BLOCKS, seed=0
     )
     assert reply.sorted_ok, "served sort not sorted"

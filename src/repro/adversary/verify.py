@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.adversary.interleave import adversarial_rounds
 from repro.adversary.theory import aligned_elements
-from repro.dmm.memo import ConflictMemo
 from repro.sort.config import SortConfig
 from repro.sort.pairwise import PairwiseMergeSort
 
@@ -85,17 +84,12 @@ def verify_worst_case(
     values: np.ndarray,
     *,
     score_blocks: int | None = 4,
-    memo: ConflictMemo | None | str = "auto",
 ) -> VerificationReport:
     """Check an input against the worst-case claims for ``config``.
 
     Runs the instrumented sort and compares every constructible round's
     per-warp serialized merge cycles to the Theorem 3 / Theorem 9
-    prediction. ``memo`` is handed to the sorter
-    (:class:`~repro.sort.pairwise.PairwiseMergeSort`); pass one shared
-    :class:`~repro.dmm.memo.ConflictMemo` when verifying many related
-    inputs — family members differ only in filler read order, so most
-    rounds are pattern-identical and verify from cache.
+    prediction.
 
     Examples
     --------
@@ -112,7 +106,7 @@ def verify_worst_case(
     """
     values = np.asarray(values)
     n = config.validate_input_size(values.size)
-    result = PairwiseMergeSort(config, memo=memo).sort(
+    result = PairwiseMergeSort(config).sort(
         values, score_blocks=score_blocks
     )
     sorted_ok = bool(np.array_equal(result.values, np.sort(values)))
@@ -152,17 +146,11 @@ def verify_family(
     *,
     score_blocks: int | None = 4,
     seed: int = 0,
-    memo: ConflictMemo | None | str = "auto",
 ) -> list[VerificationReport]:
     """Verify ``num_members`` random permutation-family members.
 
     Draws members via :func:`repro.adversary.family.random_family_member`
-    (member 0 is the canonical assignment itself) and verifies each with
-    one shared :class:`~repro.dmm.memo.ConflictMemo` — the members are
-    round-for-round pattern-identical except where their filler read
-    orders differ, so everything after the first member scores mostly
-    from cache. ``memo="auto"`` builds the shared memo; pass ``None`` to
-    verify each member cold.
+    (member 0 is the canonical assignment itself) and verifies each.
     """
     from repro.adversary.assignment import construct_warp_assignment
     from repro.adversary.family import random_family_member
@@ -171,8 +159,6 @@ def verify_family(
 
     check_positive_int(num_members, "num_members")
     n = config.validate_input_size(num_elements)
-    if isinstance(memo, str) and memo == "auto":
-        memo = ConflictMemo()
     base = construct_warp_assignment(config.w, config.E)
     reports = []
     for i in range(num_members):
@@ -181,8 +167,6 @@ def verify_family(
         )
         values = worst_case_permutation(config, n, assignment=assignment)
         reports.append(
-            verify_worst_case(
-                config, values, score_blocks=score_blocks, memo=memo
-            )
+            verify_worst_case(config, values, score_blocks=score_blocks)
         )
     return reports

@@ -12,8 +12,8 @@ representative tile per *pattern class* instead of to every block:
   from-A mask in closed form; all pairs share it, and a global round's
   blocks fall into at most a few period-phase classes;
 * each class's merge stage is the mask's rank→address row scored by the
-  same :func:`~repro.dmm.fused.tile_merge_counts` kernel the memoized
-  simulator uses for a missed tile;
+  same :func:`~repro.dmm.fused.tile_merge_counts` kernel the simulator
+  uses for each run of equal tiles;
 * the β₁ partition probes are replayed against a *rank surrogate* — the
   tile's merge ranks as values — through the same
   :func:`~repro.mergepath.partition.probe_tile_counts` kernel. The
@@ -266,7 +266,7 @@ class AnalyticEngine:
         self, row: np.ndarray, probe_counts: tuple
     ) -> tuple[ConflictReport, ConflictReport]:
         """Score one tile's rank→address row + β₁ probe counts, exactly as
-        the memoized simulator scores a missed tile."""
+        the simulator scores the first tile of a run."""
         cfg = self.config
         merge_steps, merge_replays = tile_merge_counts(
             row[None, :], cfg.E, cfg.w, self._layout

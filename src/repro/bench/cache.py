@@ -338,10 +338,9 @@ class BenchCache:
         to be :func:`os.replace`'d into place. Deleting it would make the
         writer's rename fail and drop its result. A long-running server
         calls this periodically (or an operator runs ``repro-mergesort
-        cache prune --max-mb N``) so the disk cache stays bounded the way
-        the in-memory memo's FIFO tables already are. Entries that vanish
-        concurrently (another pruner, a ``clear``) are skipped, not
-        errors.
+        cache prune --max-mb N``) so the disk cache stays bounded.
+        Entries that vanish concurrently (another pruner, a ``clear``)
+        are skipped, not errors.
         """
         if max_bytes < 0:
             raise ValueError(f"max_bytes must be >= 0, got {max_bytes}")

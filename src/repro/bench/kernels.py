@@ -15,7 +15,7 @@ Backend behavior: every entry records the active fused backend
 (``native``/``numpy``). ``kernel_merge_pairs`` and ``kernel_sort_fused``
 measure the real code path of whichever backend is live;
 ``kernel_tile_merge_counts``/``kernel_probe_tile_counts`` are numpy on
-both backends (the memoized default path runs them either way);
+both backends (the default vectorized path runs them either way);
 ``kernel_block_scoring``/``kernel_global_scoring`` call the compiled
 round scorers directly and are skipped (not emitted) when the extension
 is unavailable — a missing row is visible in the JSON rather than a
@@ -105,7 +105,7 @@ def kernel_benchmarks(
     timings["kernel_merge_pairs"] = _merge_entry(mat, run, repeat)
 
     # The per-tile counting kernels behind every numpy scoring path (the
-    # memoized default scores its misses with them on both backends), on
+    # default vectorized path runs them on both backends), on
     # the same round: each row of ``mat`` is one tile's pair.
     scored = np.arange(min(tiles, 8), dtype=np.int64)
     addr_by_rank = np.argsort(mat[scored], axis=1, kind="stable")

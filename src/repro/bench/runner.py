@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from repro.bench import cache as bench_cache
 from repro.bench.cache import BenchCache
 from repro.bench.metrics import BenchPoint
-from repro.dmm.memo import ConflictMemo
 from repro.engine.registry import DEFAULT_SCORING, check_scoring, resolve_scoring
 from repro.errors import ValidationError
 from repro.gpu.device import DeviceSpec
@@ -116,16 +115,6 @@ class SweepRunner:
         except for explicit ``"analytic"``, whose exact-at-every-size
         points above ``exact_threshold`` genuinely differ from the
         synthesized ones and get their own fingerprint entry.
-    memo:
-        Conflict-report memoization shared across every instrumented sort
-        this runner executes (see :class:`~repro.dmm.memo.ConflictMemo`):
-        the points of a sweep repeat each other's early rounds, so
-        cross-point sharing is where the memo pays off most. ``"auto"``
-        (default) creates one runner-private memo when ``scoring`` is
-        ``"vectorized"``; pass a memo to share wider (several runners, a
-        family sweep) or ``None`` to disable. Memoization never changes
-        results (bit-identity is enforced by the equivalence tests), so —
-        like ``scoring`` — it stays out of cache fingerprints.
     cache:
         Optional :class:`~repro.bench.cache.BenchCache`; when set, bench
         points and calibration rates are looked up on disk before any
@@ -148,7 +137,6 @@ class SweepRunner:
     #: The legacy ``padding`` knob keeps its spelling (and its cache
     #: fingerprints) — the two reconcile inside the sorter.
     mitigation: str = "none"
-    memo: ConflictMemo | None | str = "auto"
     cache: BenchCache | None = None
     instrumented_sorts: int = field(default=0, init=False, repr=False)
     _calibrations: dict = field(default_factory=dict, repr=False)
@@ -176,26 +164,6 @@ class SweepRunner:
                 "scoring='analytic' cannot model mitigation "
                 f"{self._layout.spec!r}; use a simulated scoring for this "
                 "layout"
-            )
-        # Resolve "auto" once so every instrumented sort shares one memo
-        # (PairwiseMergeSort's own "auto" would build a fresh memo per
-        # sort and lose all cross-point hits). The auto scoring mode
-        # keeps a memo for compatibility even though the registry router
-        # now prefers analytic/fused, neither of which engages it.
-        if isinstance(self.memo, str) and self.memo == "auto":
-            self.memo = (
-                ConflictMemo()
-                if self.scoring in ("vectorized", "auto")
-                else None
-            )
-        elif isinstance(self.memo, ConflictMemo) and self.scoring in (
-            "loop",
-            "analytic",
-            "fused",
-        ):
-            raise ValidationError(
-                "memoization applies only to simulated vectorized scoring; "
-                f"scoring={self.scoring!r} stays memo-free"
             )
         if self.config.warp_size != self.device.warp_size:
             raise ValidationError(
@@ -326,14 +294,10 @@ class SweepRunner:
         if scoring == "analytic":
             return self._analytic_sort(input_name, n)
         data = generate(input_name, self.config, n, seed=self.seed)
-        # "auto" may resolve to fused per point while the runner keeps a
-        # memo for other points; only the vectorized sorter takes it.
-        memo = self.memo if scoring == "vectorized" else None
         return PairwiseMergeSort(
             self.config,
             padding=self.padding,
             scoring=scoring,
-            memo=memo,
             mitigation=self.mitigation,
         ).sort(data, score_blocks=self.score_blocks, seed=self.seed)
 

@@ -146,17 +146,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "constructed families only — bit-identical and ~1000x faster)",
     )
     p.add_argument(
-        "--memo", action=argparse.BooleanOptionalAction, default=True,
-        help="memoize conflict scoring by rank→address pattern "
-        "(--no-memo disables; results are bit-identical either way)",
-    )
-    p.add_argument(
         "--engine", default=None,
-        choices=["inline-loop", "inline-vectorized", "inline-memoized",
-                 "inline-fused", "analytic"],
-        help="execution engine by registry name; overrides "
-        "--scoring/--memo (whose combination otherwise picks the engine "
-        "through the same registry)",
+        choices=["inline-loop", "inline-vectorized", "inline-fused",
+                 "analytic"],
+        help="execution engine by registry name; overrides --scoring "
+        "(which otherwise picks the engine through the same registry)",
     )
     _add_mitigation_arg(p)
 
@@ -329,7 +323,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--engine", default=None, metavar="NAME",
-        help="in-process engine name whose scoring/memo wire fields to "
+        help="in-process engine name whose scoring wire field to "
         "forward (exclusive with --scoring; pool/service are execution "
         "strategies, not scorers, and are rejected)",
     )
@@ -404,9 +398,7 @@ def _cmd_simulate(args) -> int:
     n = config.tile_size * args.tiles
     data = generate(args.input, config, n, seed=args.seed)
     layout = reconcile_mitigation(args.mitigation, field="--mitigation")
-    engine_name = args.engine or engine_for_scoring(
-        args.scoring, memoized=args.memo
-    )
+    engine_name = args.engine or engine_for_scoring(args.scoring)
     if engine_name == "analytic" and not layout.analytic_supported:
         raise ValidationError(
             f"the analytic engine cannot model mitigation {layout.spec!r}; "
@@ -453,8 +445,6 @@ def _cmd_simulate(args) -> int:
     )
     if layout.spec != "none":
         print(f"mitigation: {layout.describe()}")
-    if result.memo_stats is not None:
-        print(f"memoized scoring: {result.memo_stats}")
     if args.input == "worst-case" and layout.spec == "none":
         # Verification asserts the *stock* layout serializes; under a
         # mitigation the whole point is that it no longer does.
@@ -539,7 +529,6 @@ def _cmd_sweep(args) -> int:
             kwargs["url"] = args.url
         with create_engine(args.engine, **kwargs) as engine:
             points = engine.run_points(items, progress=progress)
-    _print_memo_stats(jobs=args.jobs)
     base, other = points[: len(sizes)], points[len(sizes):]
     rows = [
         {
@@ -800,40 +789,12 @@ def _cmd_reproduce(args) -> int:
     return 1 if failed else 0
 
 
-def _print_memo_stats(jobs: int = 1) -> None:
-    """Conflict-memo summary on stderr after a sweep-driven command.
-
-    Pool workers ship their per-item :class:`MemoStats` deltas back with
-    every result (see :mod:`repro.engine.pool`), so with ``--jobs > 1``
-    the process aggregate printed here includes worker activity too.
-    """
-    from repro.dmm.memo import ConflictMemo
-
-    stats = ConflictMemo.process_stats()
-    if not stats.lookups:
-        return
-    scope = "all sorts incl. pool workers" if jobs > 1 else "all sorts"
-    print(f"conflict memo ({scope}): {stats}", file=sys.stderr, flush=True)
-
-
 def _cmd_cache(args) -> int:
-    from repro.dmm.memo import ConflictMemo
     from repro.errors import ValidationError
 
     cache = BenchCache(args.cache_dir)
     if args.action == "stats":
         print(cache.stats())
-        print(f"conflict memo (this process): {ConflictMemo.process_stats()}")
-        by_mitigation = ConflictMemo.mitigation_stats()
-        if by_mitigation:
-            print("conflict memo by mitigation:")
-            for spec, (hits, misses) in by_mitigation.items():
-                total = hits + misses
-                rate = hits / total if total else 0.0
-                print(
-                    f"  {spec:16s} hits={hits} misses={misses} "
-                    f"hit-rate={rate:.0%}"
-                )
         return 0
     if args.action == "prune":
         if args.max_mb is None or args.max_mb < 0:
@@ -866,16 +827,16 @@ def _cmd_serve(args) -> int:
     )
 
 
-def _request_scoring(args) -> tuple[str | None, bool]:
-    """Wire (scoring, memo) fields for ``request``, honoring --engine.
+def _request_scoring(args) -> str | None:
+    """Wire ``scoring`` field for ``request``, honoring --engine.
 
     ``--engine`` names an in-process engine; the registry translates it
-    to the equivalent wire fields (and rejects pool/service, which are
+    to the equivalent wire field (and rejects pool/service, which are
     execution strategies with nothing to forward). ``"auto"`` maps to
     ``None`` so each endpoint's server-side default applies.
     """
     if args.engine is None:
-        return args.scoring, True
+        return args.scoring
     if args.scoring is not None:
         from repro.errors import ValidationError
 
@@ -883,9 +844,8 @@ def _request_scoring(args) -> tuple[str | None, bool]:
             "--engine and --scoring are mutually exclusive (an engine "
             "name already implies its scoring)"
         )
-    fields = scoring_for_engine(args.engine)
-    scoring = fields["scoring"]
-    return (None if scoring == "auto" else scoring), fields["memo"]
+    scoring = scoring_for_engine(args.engine)
+    return None if scoring == "auto" else scoring
 
 
 def _cmd_request(args) -> int:
@@ -893,7 +853,7 @@ def _cmd_request(args) -> int:
 
     from repro.service.client import ServiceClient
 
-    scoring, memo = _request_scoring(args)
+    scoring = _request_scoring(args)
     # Canonicalize client-side so typos fail fast; "none" is dropped from
     # the wire (the server default) to keep old-server compatibility.
     spec = reconcile_mitigation(args.mitigation, field="--mitigation").spec
@@ -925,7 +885,6 @@ def _cmd_request(args) -> int:
             score_blocks=args.score_blocks,
             seed=args.seed,
             scoring=scoring,
-            memo=memo,
             mitigation=mitigation,
         )
         result = reply.result
@@ -950,8 +909,6 @@ def _cmd_request(args) -> int:
             f"N={result.num_elements:,}  "
             f"conflicts/elem={result.replays_per_element():.2f}"
         )
-        if result.memo_stats is not None:
-            print(f"memoized scoring (server-side): {result.memo_stats}")
         return 0
 
     if args.action == "job":

@@ -18,25 +18,22 @@ This package provides:
   profilers (serialized transactions, replays, conflict degree);
 * :mod:`repro.dmm.machine` — a small CREW DMM interpreter that executes a
   trace step by step and enforces the exclusive-write rule;
-* :mod:`repro.dmm.memo` — content-addressed memoization of conflict
-  reports keyed by the rank→address pattern they score.
+* :mod:`repro.dmm.fused` — trace-free counting kernels over rank→address
+  rows, the scoring core of every simulated fast path.
 """
 
 from repro.dmm.banks import BankGeometry
 from repro.dmm.conflicts import ConflictReport, count_conflicts, report_segments
 from repro.dmm.machine import DMM, MemoryImage
-from repro.dmm.memo import ConflictMemo, MemoStats
 from repro.dmm.trace import AccessKind, AccessTrace
 
 __all__ = [
     "AccessKind",
     "AccessTrace",
     "BankGeometry",
-    "ConflictMemo",
     "ConflictReport",
     "count_conflicts",
     "DMM",
     "MemoryImage",
-    "MemoStats",
     "report_segments",
 ]

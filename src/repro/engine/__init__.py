@@ -6,10 +6,10 @@
 (:func:`engine_names` / :func:`create_engine`):
 
 ====================  ====================================================
-``inline``            in-process, ``scoring="auto"`` routing + memo
+``inline``            in-process, ``scoring="auto"`` routing
 ``inline-loop``       in-process per-tile reference oracle
-``inline-vectorized``  in-process batched scoring, no memo
-``inline-memoized``    in-process batched scoring with a pattern memo
+``inline-vectorized``  in-process counting-kernel scoring
+``inline-fused``      in-process fused scoring (compiled kernels when built)
 ``analytic``          closed form (constructed families, O(rounds)/task)
 ``pool``              warm ``ProcessPoolExecutor`` fan-out
 ``service``           a running ``repro-mergesort serve`` daemon

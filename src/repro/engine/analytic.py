@@ -29,7 +29,7 @@ class AnalyticExecutionEngine(InlineEngine):
     name = "analytic"
 
     def __init__(self, cache=None):
-        super().__init__(scoring="analytic", memo=None, cache=cache)
+        super().__init__(scoring="analytic", cache=cache)
 
 
 register_engine("analytic", lambda **kw: AnalyticExecutionEngine(**kw))

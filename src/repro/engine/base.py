@@ -1,10 +1,10 @@
 """Execution-engine contract: one ``plan → execute`` path for every scorer.
 
 The repo produces :class:`~repro.sort.pairwise.SortResult`\\ s and
-:class:`~repro.bench.metrics.BenchPoint`\\ s through five historically
+:class:`~repro.bench.metrics.BenchPoint`\\ s through several historically
 separate code paths — the per-tile loop oracle, the vectorized scorer,
-the memoized vectorized scorer, the closed-form analytic engine, and the
-service daemon — plus two execution strategies (in-process and process
+the fused scorer, the closed-form analytic engine, and the service
+daemon — plus two execution strategies (in-process and process
 pool). :class:`ExecutionEngine` collapses them behind one interface:
 
 * :meth:`ExecutionEngine.plan` turns a homogeneous batch of tasks (all

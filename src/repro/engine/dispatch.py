@@ -5,8 +5,8 @@ routes through a :class:`~repro.engine.pool.PoolEngine` wrapper,
 ``jobs > 1`` creates
 (and tears down) an owned pool, and the serial path runs on one shared
 process-level :class:`~repro.engine.inline.InlineEngine` — preserving
-the old module-global runner table's semantics, where calibrations and
-conflict memos stay warm across serial calls within a process.
+the old module-global runner table's semantics, where calibrations stay
+warm across serial calls within a process.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ def execute_items(
         instead of creating (and tearing down) a private one. Long-lived
         callers — the :mod:`repro.service` daemon above all — pass a
         warm pool so worker processes keep their runner tables
-        (calibrations + conflict memos) across calls. The caller owns
+        (and their calibrations) across calls. The caller owns
         the pool's lifecycle; it is never shut down here.
     """
     if jobs < 1:

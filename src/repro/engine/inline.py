@@ -1,4 +1,4 @@
-"""In-process execution: the loop / vectorized / memoized / auto scorers.
+"""In-process execution: the loop / vectorized / fused / auto scorers.
 
 One :class:`InlineEngine` instance is warm state: it caches
 :class:`~repro.sort.pairwise.PairwiseMergeSort` instances per
@@ -10,12 +10,11 @@ point plans (the serial equivalent of a pool worker's table — same
 Registered names (see :mod:`repro.engine.registry`):
 
 ==================  ======================================================
-``inline``          ``scoring="auto"``, memoized — the general-purpose
-                    engine; each sort task routes through
+``inline``          ``scoring="auto"`` — the general-purpose engine; each
+                    sort task routes through
                     :func:`~repro.engine.registry.resolve_scoring`
 ``inline-loop``     the per-tile reference oracle
-``inline-vectorized``  batched scoring, no memo
-``inline-memoized``    batched scoring with a shared pattern memo
+``inline-vectorized``  batched counting-kernel scoring
 ``inline-fused``    single-pass fused scoring (compiled backend when built)
 ==================  ======================================================
 """
@@ -24,7 +23,6 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.dmm.memo import ConflictMemo
 from repro.engine.base import ExecutionEngine, SortTask
 from repro.engine.registry import (
     DEFAULT_SCORING,
@@ -33,7 +31,6 @@ from repro.engine.registry import (
     resolve_scoring,
 )
 from repro.engine.tasks import ProgressEvent, execute_item
-from repro.errors import ValidationError
 from repro.inputs.generators import generate
 
 __all__ = ["InlineEngine"]
@@ -49,13 +46,6 @@ class InlineEngine(ExecutionEngine):
         Point plans are self-describing — each
         :class:`~repro.engine.tasks.WorkItem` carries its own ``scoring``
         — so this knob does not apply to them.
-    memo:
-        ``"auto"`` (default) builds one engine-private
-        :class:`~repro.dmm.memo.ConflictMemo` when the scoring mode can
-        use it (vectorized or auto), shared across every sort this
-        engine runs; pass a memo to share wider or ``None`` to disable.
-        An explicit memo with loop/analytic scoring is rejected, matching
-        :class:`~repro.bench.runner.SweepRunner`.
     """
 
     name = "inline"
@@ -63,25 +53,10 @@ class InlineEngine(ExecutionEngine):
     def __init__(
         self,
         scoring: str = DEFAULT_SCORING,
-        memo: ConflictMemo | None | str = "auto",
         cache=None,
     ):
         check_scoring(scoring)
-        if isinstance(memo, str) and memo == "auto":
-            memo = (
-                ConflictMemo() if scoring in ("vectorized", "auto") else None
-            )
-        elif isinstance(memo, ConflictMemo) and scoring in (
-            "loop",
-            "analytic",
-            "fused",
-        ):
-            raise ValidationError(
-                "memoization applies only to simulated vectorized scoring; "
-                f"scoring={scoring!r} stays memo-free"
-            )
         self.scoring = scoring
-        self.memo = memo
         self.cache = cache
         self._sorters: dict[tuple, object] = {}
         self._runners: dict[str, object] = {}
@@ -96,12 +71,10 @@ class InlineEngine(ExecutionEngine):
         key = (config, padding, scoring, mitigation)
         sorter = self._sorters.get(key)
         if sorter is None:
-            memo = self.memo if scoring == "vectorized" else None
             sorter = PairwiseMergeSort(
                 config,
                 padding=padding,
                 scoring=scoring,
-                memo=memo,
                 mitigation=mitigation,
             )
             self._sorters[key] = sorter
@@ -151,27 +124,18 @@ class InlineEngine(ExecutionEngine):
         return results
 
 
-def _inline_factory(name: str, scoring: str, memoized: bool):
-    def make(*, memo=None, cache=None) -> InlineEngine:
-        # An explicit memo passes through (loop scoring then rejects it);
-        # otherwise memoized variants resolve "auto", plain ones disable.
-        resolved = memo if memo is not None else ("auto" if memoized else None)
-        engine = InlineEngine(scoring=scoring, memo=resolved, cache=cache)
+def _inline_factory(name: str, scoring: str):
+    def make(*, cache=None) -> InlineEngine:
+        engine = InlineEngine(scoring=scoring, cache=cache)
         engine.name = name
         return engine
 
     return make
 
 
-register_engine("inline", _inline_factory("inline", "auto", True))
-register_engine("inline-loop", _inline_factory("inline-loop", "loop", False))
+register_engine("inline", _inline_factory("inline", "auto"))
+register_engine("inline-loop", _inline_factory("inline-loop", "loop"))
 register_engine(
-    "inline-vectorized",
-    _inline_factory("inline-vectorized", "vectorized", False),
+    "inline-vectorized", _inline_factory("inline-vectorized", "vectorized")
 )
-register_engine(
-    "inline-memoized", _inline_factory("inline-memoized", "vectorized", True)
-)
-register_engine(
-    "inline-fused", _inline_factory("inline-fused", "fused", False)
-)
+register_engine("inline-fused", _inline_factory("inline-fused", "fused"))

@@ -9,8 +9,7 @@ process keeps module-level warm state — a fingerprint-keyed
 :func:`~repro.engine.tasks.runner_key` core, so a config or device
 change can never hit a stale runner) and an
 :class:`~repro.engine.inline.InlineEngine` per scoring mode for sorts —
-amortizing calibrations and conflict memos across every plan the pool
-executes.
+amortizing calibrations across every plan the pool executes.
 
 The pool is either *owned* (``jobs=N`` — created lazily, shut down by
 :meth:`PoolEngine.close`) or *borrowed* (``pool=...`` — a long-lived
@@ -28,7 +27,6 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from typing import Callable
 
-from repro.dmm.memo import ConflictMemo
 from repro.engine.base import ExecutionEngine, SortTask
 from repro.engine.registry import (
     DEFAULT_SCORING,
@@ -47,51 +45,19 @@ _WORKER_ENGINES: dict = {}
 
 
 def _worker_point(item: WorkItem):
-    """Run one sweep point in a worker.
-
-    Returns ``(point, seconds, from_cache, memo_delta, mit_delta)``. The
-    memo delta is this item's change to the *worker's* process-wide
-    :class:`~repro.dmm.memo.ConflictMemo` counters — class attributes
-    that only ever mutate in whichever process runs the sort, so without
-    shipping them back the parent's ``cache stats`` / sweep memo lines /
-    service ``/stats`` under-report every pooled run. ``mit_delta`` is
-    the matching per-mitigation hit/miss breakdown delta.
-    """
-    before = ConflictMemo.process_stats()
-    mit_before = ConflictMemo.mitigation_stats()
-    point, seconds, from_cache = execute_item(item, _WORKER_RUNNERS)
-    return (
-        point,
-        seconds,
-        from_cache,
-        ConflictMemo.process_stats_delta(before),
-        ConflictMemo.mitigation_stats_delta(mit_before),
-    )
+    """Run one sweep point in a worker: ``(point, seconds, from_cache)``."""
+    return execute_item(item, _WORKER_RUNNERS)
 
 
-def _worker_sort(task: SortTask, scoring: str, memoized: bool):
-    """Run one sort task in a worker, reusing a per-mode inline engine.
-
-    Returns ``(result, memo_delta, mit_delta)`` — see
-    :func:`_worker_point` for why the deltas travel with the result.
-    """
+def _worker_sort(task: SortTask, scoring: str):
+    """Run one sort task in a worker, reusing a per-mode inline engine."""
     from repro.engine.inline import InlineEngine
 
-    key = (scoring, memoized)
-    engine = _WORKER_ENGINES.get(key)
+    engine = _WORKER_ENGINES.get(scoring)
     if engine is None:
-        engine = InlineEngine(
-            scoring=scoring, memo="auto" if memoized else None
-        )
-        _WORKER_ENGINES[key] = engine
-    before = ConflictMemo.process_stats()
-    mit_before = ConflictMemo.mitigation_stats()
-    result = engine.run_sort(task)
-    return (
-        result,
-        ConflictMemo.process_stats_delta(before),
-        ConflictMemo.mitigation_stats_delta(mit_before),
-    )
+        engine = InlineEngine(scoring=scoring)
+        _WORKER_ENGINES[scoring] = engine
+    return engine.run_sort(task)
 
 
 class PoolEngine(ExecutionEngine):
@@ -106,7 +72,7 @@ class PoolEngine(ExecutionEngine):
         Externally owned executor to borrow instead. The caller keeps
         lifecycle responsibility; borrowing preserves the workers' warm
         runner tables across engine instances.
-    scoring, memoized:
+    scoring:
         Scoring mode for **sort plans**, resolved per task in the worker
         (the default "auto" routes through the registry like every other
         path). Point plans are self-describing via ``WorkItem.scoring``.
@@ -120,7 +86,6 @@ class PoolEngine(ExecutionEngine):
         *,
         pool: ProcessPoolExecutor | None = None,
         scoring: str = DEFAULT_SCORING,
-        memoized: bool = True,
     ):
         if pool is None:
             if jobs is None:
@@ -131,7 +96,6 @@ class PoolEngine(ExecutionEngine):
             if jobs < 1:
                 raise ValidationError(f"jobs must be >= 1, got {jobs}")
         self.scoring = check_scoring(scoring)
-        self.memoized = bool(memoized)
         self._jobs = jobs
         self._borrowed = pool
         self._owned: ProcessPoolExecutor | None = None
@@ -154,17 +118,12 @@ class PoolEngine(ExecutionEngine):
 
     def _execute_sorts(self, tasks: tuple) -> list:
         futures = {
-            self.pool.submit(
-                _worker_sort, task, self.scoring, self.memoized
-            ): i
+            self.pool.submit(_worker_sort, task, self.scoring): i
             for i, task in enumerate(tasks)
         }
         results = [None] * len(tasks)
         for future in as_completed(futures):
-            result, memo_delta, mit_delta = future.result()
-            ConflictMemo.absorb_stats(memo_delta)
-            ConflictMemo.absorb_mitigation_stats(mit_delta)
-            results[futures[future]] = result
+            results[futures[future]] = future.result()
         return results
 
     def _execute_points(
@@ -179,9 +138,7 @@ class PoolEngine(ExecutionEngine):
         done = 0
         for future in as_completed(futures):
             i = futures[future]
-            point, elapsed, from_cache, memo_delta, mit_delta = future.result()
-            ConflictMemo.absorb_stats(memo_delta)
-            ConflictMemo.absorb_mitigation_stats(mit_delta)
+            point, elapsed, from_cache = future.result()
             results[i] = point
             done += 1
             if progress is not None:

@@ -181,51 +181,41 @@ def create_engine(name: str, **kwargs):
 
 # -- scoring ↔ engine-name mapping ------------------------------------------
 
-#: Inline engine name per (scoring, memoized) — the wire/CLI translation
-#: table. ``"auto"`` maps to the general-purpose ``"inline"`` engine,
-#: which routes per task through :func:`resolve_scoring`.
+#: Inline engine name per scoring mode — the wire/CLI translation table.
+#: ``"auto"`` maps to the general-purpose ``"inline"`` engine, which
+#: routes per task through :func:`resolve_scoring`.
 _ENGINE_BY_SCORING = {
-    ("auto", True): "inline",
-    ("auto", False): "inline",
-    ("vectorized", True): "inline-memoized",
-    ("vectorized", False): "inline-vectorized",
-    ("loop", True): "inline-loop",
-    ("loop", False): "inline-loop",
-    ("fused", True): "inline-fused",
-    ("fused", False): "inline-fused",
-    ("analytic", True): "analytic",
-    ("analytic", False): "analytic",
+    "auto": "inline",
+    "vectorized": "inline-vectorized",
+    "loop": "inline-loop",
+    "fused": "inline-fused",
+    "analytic": "analytic",
 }
 
-#: Wire fields per engine name; pool/service are execution strategies
-#: with no wire equivalent and are deliberately absent.
+#: Wire ``scoring`` field per engine name; pool/service are execution
+#: strategies with no wire equivalent and are deliberately absent.
 _SCORING_BY_ENGINE = {
-    "inline": {"scoring": "auto", "memo": True},
-    "inline-memoized": {"scoring": "vectorized", "memo": True},
-    "inline-vectorized": {"scoring": "vectorized", "memo": False},
-    "inline-loop": {"scoring": "loop", "memo": False},
-    "inline-fused": {"scoring": "fused", "memo": False},
-    "analytic": {"scoring": "analytic", "memo": False},
+    engine: scoring for scoring, engine in _ENGINE_BY_SCORING.items()
 }
 
 
-def engine_for_scoring(scoring: str, *, memoized: bool = True) -> str:
+def engine_for_scoring(scoring: str) -> str:
     """The in-process engine name serving a scoring mode."""
     check_scoring(scoring)
-    return _ENGINE_BY_SCORING[(scoring, bool(memoized))]
+    return _ENGINE_BY_SCORING[scoring]
 
 
-def scoring_for_engine(name: str) -> dict:
-    """Wire fields (``scoring``, ``memo``) equivalent to an engine name.
+def scoring_for_engine(name: str) -> str:
+    """Wire ``scoring`` field equivalent to an engine name.
 
     Raises for engines that are execution strategies rather than scorers
     (``pool``, ``service``) — there is nothing to forward for them.
     """
-    fields = _SCORING_BY_ENGINE.get(name)
-    if fields is None:
+    scoring = _SCORING_BY_ENGINE.get(name)
+    if scoring is None:
         known = ", ".join(sorted(_SCORING_BY_ENGINE))
         raise ValidationError(
             f"engine {name!r} has no wire equivalent (forwardable engines: "
             f"{known})"
         )
-    return dict(fields)
+    return scoring

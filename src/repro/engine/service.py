@@ -3,7 +3,7 @@
 :class:`ServiceEngine` routes sort plans through ``POST /simulate`` and
 point plans through ``POST /sweep`` on a daemon, via the blocking
 :class:`~repro.service.client.ServiceClient`. The daemon is where the
-warm state lives (process-lifetime conflict memo, optional disk cache,
+warm state lives (whole-sort result cache, optional disk cache,
 warm worker pool), so a cold client process still gets warm-path
 latencies — that is the point of using this engine.
 
@@ -51,10 +51,8 @@ class ServiceEngine(ExecutionEngine):
         Client socket timeout per request (seconds).
     scoring:
         Scoring forwarded with **sort plans**; ``None`` (default) leaves
-        the choice to the server (vectorized + memo). Point plans forward
-        each item's own ``scoring`` field.
-    memoized:
-        ``memo`` field forwarded with sort plans (server-side memo).
+        the choice to the server (vectorized). Point plans forward each
+        item's own ``scoring`` field.
     """
 
     name = "service"
@@ -66,7 +64,6 @@ class ServiceEngine(ExecutionEngine):
         client=None,
         timeout: float = 630.0,
         scoring: str | None = None,
-        memoized: bool = True,
     ):
         if client is None:
             from repro.service.client import ServiceClient
@@ -76,7 +73,6 @@ class ServiceEngine(ExecutionEngine):
             check_scoring(scoring, allow_auto=False)
         self.client = client
         self.scoring = scoring
-        self.memoized = bool(memoized)
 
     # -- plans ---------------------------------------------------------------
 
@@ -96,7 +92,6 @@ class ServiceEngine(ExecutionEngine):
                 padding=task.padding,
                 score_blocks=task.score_blocks,
                 seed=task.seed,
-                memo=self.memoized,
                 scoring=self.scoring,
                 mitigation=(
                     None if task.mitigation == "none" else task.mitigation

@@ -151,15 +151,10 @@ def runner_key(item: WorkItem) -> str:
     worker process.
     """
     from repro.bench.cache import fingerprint
-    from repro.dmm.memo import CONTEXT_FIELDS
 
     return fingerprint(
         {
             "kind": "runner",
-            # Folding the memo's context-field tuple in means a change to
-            # what the memo digests (a new field, a reorder) retires every
-            # warm runner — their private memos keyed the old way.
-            "memo_context_fields": list(CONTEXT_FIELDS),
             "config": dataclasses.asdict(item.config),
             "device": dataclasses.asdict(item.device),
             "exact_threshold": item.exact_threshold,
@@ -177,8 +172,8 @@ def runner_key(item: WorkItem) -> str:
 def runner_for(item: WorkItem, table: dict[str, SweepRunner]) -> SweepRunner:
     """The table's runner for this item, built on first use.
 
-    Runners are warm state: calibrations and the runner-private conflict
-    memo are reused across every item that maps to the same key.
+    Runners are warm state: calibrations are reused across every item
+    that maps to the same key.
     """
     from repro.bench.cache import BenchCache
     from repro.bench.runner import SweepRunner

@@ -15,7 +15,7 @@ execution-engine one:
   (arXiv:1507.01391): same guarantee via a double-pitch staging buffer,
   at twice the footprint.
 
-Every scoring path (vectorized, memoized, fused, analytic-gated), the
+Every scoring path (loop, vectorized, fused, analytic-gated), the
 sweep runner, the service protocol, and the CLI dispatch through
 :func:`create_mitigation` / :func:`reconcile_mitigation`; the
 ``matrix`` experiment (``repro-mergesort matrix``) crosses the backends

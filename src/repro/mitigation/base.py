@@ -15,7 +15,7 @@ The contract has four load-bearing pieces:
     nonnegative, broadcastable). Lane-aware schemes (the cfree
     backends) key off the lane, never off a row position, so scoring a
     subset of tiles gives the same per-tile counts as scoring them all —
-    the memoized path relies on that. Within one warp step, distinct
+    sampled rounds and the adjacent-run dedup rely on that. Within one warp step, distinct
     logical addresses must land on distinct physical addresses (the
     per-tile merge counting kernel needs no broadcast dedup because of
     it). :meth:`Mitigation.remap` derives the dense-matrix form from it,
@@ -81,8 +81,8 @@ class Mitigation(ABC):
     @property
     @abstractmethod
     def spec(self) -> str:
-        """Canonical spec string (``"padding:2"``), used in memo
-        contexts, cache keys, wire payloads, and CLI output."""
+        """Canonical spec string (``"padding:2"``), used in cache
+        keys, wire payloads, and CLI output."""
 
     @abstractmethod
     def physical(

@@ -14,7 +14,7 @@ shared-memory pitch: a tile of ``T`` elements costs
 matrix experiment charges this backend.
 
 Like the cfree-sort layout, it keys off the accessing lane only — stable
-under the memoized path's tile-subset scoring — and is outside both the
+under tile-subset scoring — and is outside both the
 analytic model and the compiled padded kernels.
 """
 

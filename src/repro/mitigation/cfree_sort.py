@@ -18,7 +18,7 @@ the layout explicitly.)
 
 The layout keys off the accessing *lane* only — never a row position —
 so scoring a subset of tiles gives the same per-tile counts as scoring
-them all, and memo bit-identity holds.
+them all, and sampled and deduplicated rounds stay bit-identical.
 """
 
 from __future__ import annotations

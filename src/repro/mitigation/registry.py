@@ -148,8 +148,8 @@ def check_mitigation(value: str, *, field: str = "mitigation") -> str:
     """Validate a spec string, returning its canonical form.
 
     Canonicalization matters for fingerprints: ``"padding"`` becomes
-    ``"padding:1"`` so the wire form, the memo context, and the cache
-    key all agree on one spelling per layout.
+    ``"padding:1"`` so the wire form and the cache key agree on one
+    spelling per layout.
     """
     return create_mitigation(value, field=field).spec
 

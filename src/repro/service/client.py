@@ -257,7 +257,6 @@ class ServiceClient:
         score_blocks: int | None = 8,
         seed: int = 0,
         include_values: bool = True,
-        memo: bool = True,
         scoring: str | None = None,
         padding: int | None = None,
         mitigation: str | None = None,
@@ -279,7 +278,6 @@ class ServiceClient:
             num_elements=num_elements,
             seed=seed,
             include_values=include_values,
-            memo=memo,
             scoring=scoring,
             padding=padding,
             mitigation=mitigation,

@@ -7,11 +7,8 @@
 renderer walks whatever sections are present in the payload and skips
 the rest (``bench_cache`` is absent without ``--cache``).
 
-The memo samples come in two flavours: ``repro_memo_*`` is the daemon's
-own request-serving memo, while ``repro_memo_process_*`` is the
-process-wide aggregate *including deltas absorbed from pool workers*
-(see :meth:`repro.dmm.memo.ConflictMemo.absorb_stats`) — the
-pool-inclusive number an operator should graph.
+The ``repro_result_cache_*`` samples render the ``/stats["memo"]``
+section, which describes the daemon's ``/simulate`` result cache.
 """
 
 from __future__ import annotations
@@ -155,38 +152,29 @@ def render_metrics(payload: dict) -> str:
         help="TCP connections accepted.",
     )
 
-    for scope, section in (("", "memo"), ("process_", "memo_process")):
-        memo = payload.get(section)
-        if not memo:
-            continue
-        what = (
-            "this daemon's request-serving memo"
-            if not scope
-            else "the process-wide aggregate incl. pool workers"
+    results = payload.get("memo")
+    if results:
+        out.sample(
+            "result_cache_hits_total",
+            results.get("hits"),
+            help="/simulate requests served from the result cache.",
         )
         out.sample(
-            f"memo_{scope}hits_total",
-            memo.get("hits"),
-            help=f"Conflict-memo hits of {what}.",
+            "result_cache_misses_total",
+            results.get("misses"),
+            help="/simulate requests the result cache could not serve.",
         )
         out.sample(
-            f"memo_{scope}misses_total",
-            memo.get("misses"),
-            help=f"Conflict-memo misses of {what}.",
-        )
-        for kind in ("tile", "round"):
-            out.sample(
-                f"memo_{scope}entries",
-                memo.get(f"{kind}_entries"),
-                kind="gauge",
-                help=f"Retained conflict-memo entries of {what}.",
-                labels={"kind": kind},
-            )
-        out.sample(
-            f"memo_{scope}bytes",
-            memo.get("stored_bytes"),
+            "result_cache_entries",
+            results.get("entries"),
             kind="gauge",
-            help=f"Approximate retained bytes of {what}.",
+            help="Sort results held by the result cache.",
+        )
+        out.sample(
+            "result_cache_bytes",
+            results.get("stored_bytes"),
+            kind="gauge",
+            help="Approximate bytes the result cache retains.",
         )
 
     cache = payload.get("bench_cache")

@@ -209,7 +209,6 @@ class SimulateRequest:
     score_blocks: int | None
     seed: int
     include_values: bool
-    memo: bool
     #: "vectorized" | "loop" | "analytic"; the closed-form engine serves
     #: constructed-family requests in microseconds instead of ~100 ms.
     scoring: str
@@ -235,7 +234,6 @@ class SimulateRequest:
             score_blocks=_int_field(payload, "score_blocks", 8, minimum=1),
             seed=_int_field(payload, "seed", 0, minimum=0),
             include_values=_bool_field(payload, "include_values", True),
-            memo=_bool_field(payload, "memo", True),
             scoring=_scoring_field(payload, "vectorized", allow_auto=False),
             padding=padding,
             mitigation=mitigation,
@@ -252,10 +250,6 @@ class SimulateRequest:
                 "score_blocks": self.score_blocks,
                 "seed": self.seed,
                 "include_values": self.include_values,
-                "memo": self.memo,
-                # Part of the fingerprint although results are
-                # bit-identical: the reply's memo_stats field differs
-                # (None for analytic/loop), so the payloads do too.
                 "scoring": self.scoring,
                 "padding": self.padding,
                 "mitigation": self.mitigation,

@@ -1,9 +1,9 @@
 """The asyncio generation-and-scoring daemon.
 
 A long-lived process that amortizes everything a cold CLI invocation
-pays per run: one process-lifetime
-:class:`~repro.dmm.memo.ConflictMemo` scores repeated rank→address
-patterns once across *all* requests, one optional
+pays per run: one bounded
+:class:`~repro.service.result_cache.ResultCache` serves a repeated
+``/simulate`` input without sorting it again, one optional
 :class:`~repro.bench.cache.BenchCache` serves sweep points and
 calibrations from disk, and (with ``jobs > 1``) one warm
 :class:`~concurrent.futures.ProcessPoolExecutor` keeps calibrated
@@ -20,7 +20,7 @@ HTTP/1.1 is hand-rolled over :func:`asyncio.start_server` — no
 ``POST /jobs``        chunked sweep manifest → ``job_id`` (202)
 ``GET  /jobs/<id>``   am-I-done probe; the full point set once done
 ``GET  /healthz``     liveness (+ draining state)
-``GET  /stats``       counters, batching/backpressure, memo + cache stats
+``GET  /stats``       counters, batching/backpressure, result + disk cache
 ``GET  /metrics``     the same counters in Prometheus text format
 ``POST /shutdown``    graceful drain, same path as SIGTERM
 ====================  =====================================================
@@ -36,10 +36,8 @@ with an identical direct ``/sweep``. SIGTERM/SIGINT (or
 ``drain_timeout``, then exit.
 
 Simulations serialize on one process-wide lock: the simulator is a
-NumPy hot loop that saturates a core anyway, and the lock keeps the
-shared memo's per-sort hit/miss deltas attributable to exactly one
-request — which is what makes served ``memo_stats`` reproducible.
-Scaling across cores is the job of the ``/sweep`` and ``/jobs``
+NumPy hot loop that saturates a core anyway, and the lock also guards
+the result cache. Scaling across cores is the job of the ``/sweep`` and ``/jobs``
 process pool (``jobs > 1``).
 """
 
@@ -62,7 +60,6 @@ import numpy as np
 
 from repro.adversary.permutation import worst_case_permutation
 from repro.bench.cache import BenchCache
-from repro.dmm.memo import ConflictMemo
 from repro.engine import SortTask, create_engine, engine_for_scoring
 from repro.engine.base import ExecutionEngine
 from repro.engine.tasks import WorkItem
@@ -83,6 +80,7 @@ from repro.service.protocol import (
     SweepRequest,
     point_to_obj,
 )
+from repro.service.result_cache import ResultCache, simulate_key
 from repro.service.scheduler import JobScheduler
 from repro.service.stats import ServiceStats
 from repro.sort.serialize import array_to_obj, config_to_obj, result_to_obj
@@ -202,7 +200,7 @@ class ReproService:
             if config.quota_per_minute
             else None
         )
-        self.memo = ConflictMemo()
+        self.results = ResultCache()
         self.cache = (
             BenchCache(config.cache_dir)
             if (config.use_cache or config.cache_dir)
@@ -225,13 +223,12 @@ class ReproService:
             thread_name_prefix="repro-service",
         )
         # Warm engines, resolved through the registry: one inline engine
-        # per (scoring, memo) simulate variant (each caches sorters per
-        # config/padding; the memoized one shares the process-lifetime
-        # memo), one serial engine for unpooled sweeps (its runner table
+        # per simulate scoring (each caches sorters per config/layout),
+        # one serial engine for unpooled sweeps (its runner table
         # is the warm state the old module-global table provided), and
         # with jobs > 1 a pool engine over a warm process pool, replaced
         # whole when one of its workers dies.
-        self._engines: dict[tuple[str, bool], ExecutionEngine] = {}
+        self._engines: dict[str, ExecutionEngine] = {}
         self._serial_points = create_engine("inline")
         self._pool_points = (
             self._new_pool_engine() if config.jobs > 1 else None
@@ -613,21 +610,17 @@ class ReproService:
 
     # -- compute (executor threads) -----------------------------------------
 
-    def _engine_for(self, scoring: str, memo: bool) -> ExecutionEngine:
-        """The warm inline engine serving one simulate variant.
+    def _engine_for(self, scoring: str) -> ExecutionEngine:
+        """The warm inline engine serving one simulate scoring.
 
-        Resolved through the registry's scoring→engine mapping; the
-        memoized vectorized variant shares the process-lifetime memo
-        (only that path memoizes — loop/analytic engines keep their own
-        caches, reused across requests because engines are cached here).
+        Resolved through the registry's scoring→engine mapping and cached
+        here, so each engine's sorters (and the analytic engine's caches)
+        are reused across requests.
         """
-        key = (scoring, memo)
-        engine = self._engines.get(key)
+        engine = self._engines.get(scoring)
         if engine is None:
-            name = engine_for_scoring(scoring, memoized=memo)
-            kwargs = {"memo": self.memo} if name == "inline-memoized" else {}
-            engine = create_engine(name, **kwargs)
-            self._engines[key] = engine
+            engine = create_engine(engine_for_scoring(scoring))
+            self._engines[scoring] = engine
         return engine
 
     def _compute_construct(self, request: ConstructRequest) -> dict:
@@ -651,20 +644,23 @@ class ReproService:
                 request.num_elements,
                 seed=request.seed,
             )
-            engine = self._engine_for(request.scoring, request.memo)
-            result = engine.run_sort(
-                SortTask(
-                    config=request.config,
-                    input_name=request.input_name,
-                    num_elements=request.num_elements,
-                    padding=request.padding,
-                    score_blocks=request.score_blocks,
-                    seed=request.seed,
-                    values=data,
-                    mitigation=request.mitigation,
+            key = simulate_key(request, data)
+            result = self.results.get(key)
+            if result is None:
+                result = self._engine_for(request.scoring).run_sort(
+                    SortTask(
+                        config=request.config,
+                        input_name=request.input_name,
+                        num_elements=request.num_elements,
+                        padding=request.padding,
+                        score_blocks=request.score_blocks,
+                        seed=request.seed,
+                        values=data,
+                        mitigation=request.mitigation,
+                    )
                 )
-            )
-            self.stats.sorts_executed += 1
+                self.stats.sorts_executed += 1
+                self.results.put(key, result)
         sorted_ok = bool(np.array_equal(result.values, np.sort(data)))
         return {
             "sorted_ok": sorted_ok,
@@ -750,17 +746,9 @@ class ReproService:
         payload["pool_workers"] = self.config.jobs
         payload["quota_per_minute"] = self.config.quota_per_minute
         payload.update(self.scheduler.stats())
-        payload["memo"] = _memo_obj(self.memo.stats())
-        # The process-wide aggregate additionally folds in the deltas
-        # shipped back by pool workers (ConflictMemo.absorb_stats) — the
-        # pool-inclusive number /metrics exports for operators.
-        payload["memo_process"] = _memo_obj(ConflictMemo.process_stats())
-        # Hit/miss attribution per mitigation layout (pool workers ship
-        # their deltas home, so this is pool-inclusive like the above).
-        payload["memo_by_mitigation"] = {
-            spec: {"hits": hits, "misses": misses}
-            for spec, (hits, misses) in ConflictMemo.mitigation_stats().items()
-        }
+        # Under "memo" for existing readers: the result cache is what
+        # serves repeated work across requests now.
+        payload["memo"] = self.results.stats()
         if self.cache is not None:
             disk = self.cache.stats()
             payload["bench_cache"] = {
@@ -774,17 +762,6 @@ class ReproService:
         else:
             payload["bench_cache"] = None
         return payload
-
-
-def _memo_obj(stats) -> dict:
-    """JSON-safe dump of one :class:`~repro.dmm.memo.MemoStats`."""
-    return {
-        "hits": stats.hits,
-        "misses": stats.misses,
-        "tile_entries": stats.tile_entries,
-        "round_entries": stats.round_entries,
-        "stored_bytes": stats.stored_bytes,
-    }
 
 
 # -- HTTP framing -----------------------------------------------------------

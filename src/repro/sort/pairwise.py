@@ -31,8 +31,9 @@ Implementation notes (why this is fast enough to sweep):
   counted at once, per tile, by two numpy kernels —
   :func:`~repro.dmm.fused.tile_merge_counts` (merge stage) and
   :func:`~repro.mergepath.partition.probe_tile_counts` (β₁ probes) —
-  with no traces or probe matrices; the memoized path counts only tiles
-  whose pattern it has not seen.
+  with no traces or probe matrices; a run of adjacent tiles with equal
+  rank→address rows is counted once (periodic inputs repeat one pattern
+  across a round).
 * ``score_blocks`` caps how many tiles/blocks per round are scored
   (merging still processes all of them); the constructed adversarial
   inputs are periodic across blocks, so a small sample is *exact* for
@@ -52,7 +53,6 @@ from repro.dmm.fused import (
     report_from_per_step,
     tile_merge_counts,
 )
-from repro.dmm.memo import ConflictMemo, MemoStats
 from repro.dmm.trace import AccessTrace
 from repro.errors import SimulationError, ValidationError
 from repro.gpu.global_memory import CoalescingModel, GlobalTraffic
@@ -149,10 +149,9 @@ class SortResult:
     config: SortConfig
     num_elements: int
     rounds: list[RoundStats] = field(default_factory=list)
-    #: Memoization hit/miss/footprint summary for this sort (hits and
-    #: misses are deltas for this call even when the memo is shared);
-    #: ``None`` when the sort ran without a memo.
-    memo_stats: MemoStats | None = None
+    #: Always ``None``; kept so the wire encoding keeps its
+    #: ``memo_stats: null`` field for existing readers.
+    memo_stats: None = None
 
     @property
     def num_rounds(self) -> int:
@@ -229,15 +228,15 @@ class PairwiseMergeSort:
         ``"vectorized"`` (default) scores every scored tile of a round with
         the per-tile counting kernels
         (:func:`~repro.dmm.fused.tile_merge_counts`,
-        :func:`~repro.mergepath.partition.probe_tile_counts`) — through
-        the memo when there is one; ``"loop"`` is the original
+        :func:`~repro.mergepath.partition.probe_tile_counts`), once per
+        run of adjacent equal tiles; ``"loop"`` is the original
         tile-at-a-time, trace-based reference implementation. Both produce
         bit-identical :class:`SortResult`\\ s (enforced by the equivalence
         tests) — keep ``"loop"`` around only as the oracle. ``"fused"``
         dispatches each round to the optional compiled backend
         (:mod:`repro.mergepath.fused`) when it is importable and
         ``REPRO_FORCE_NUMPY`` is unset, and otherwise runs the same
-        counting kernels memo-free — again bit-identical, including the
+        counting kernels — again bit-identical, including the
         sampled-block RNG draw order. ``"analytic"`` skips trace
         simulation entirely: the input must be a recognized constructed
         family (sorted / strictly-decreasing / canonical sawtooth /
@@ -245,18 +244,6 @@ class PairwiseMergeSort:
         :class:`~repro.errors.ValidationError`) and the result is derived
         in ``O(rounds)`` arithmetic by :mod:`repro.analytic`, again
         bit-identical to the simulated paths.
-    memo:
-        Content-addressed conflict-report memoization
-        (:class:`~repro.dmm.memo.ConflictMemo`). ``"auto"`` (default)
-        creates a private memo so identical tile patterns within and across
-        this sorter's sorts are scored once; pass an existing memo to share
-        hits across sorters/sweep points, or ``None`` to disable
-        memoization entirely. Only the vectorized path memoizes — with
-        ``scoring="loop"`` or ``"analytic"`` the default resolves to
-        ``None`` and an explicit memo is rejected (the oracle stays
-        untouched; the analytic engine has its own caches). Memoized and
-        unmemoized scoring are bit-identical (enforced by
-        ``tests/sort/test_memoized_scoring.py``).
 
     Examples
     --------
@@ -276,7 +263,6 @@ class PairwiseMergeSort:
         config: SortConfig,
         padding: int = 0,
         scoring: str = "vectorized",
-        memo: ConflictMemo | None | str = "auto",
         mitigation=None,
     ):
         from repro.engine.registry import check_scoring
@@ -306,21 +292,6 @@ class PairwiseMergeSort:
                 "(e.g. 'fused' or 'auto') for this layout"
             )
         self._analytic_engine = None
-        if memo is None:
-            self.memo: ConflictMemo | None = None
-        elif isinstance(memo, str) and memo == "auto":
-            self.memo = ConflictMemo() if scoring == "vectorized" else None
-        elif isinstance(memo, ConflictMemo):
-            if scoring != "vectorized":
-                raise ValidationError(
-                    "memoization applies only to scoring='vectorized'; "
-                    f"scoring={scoring!r} stays memo-free"
-                )
-            self.memo = memo
-        else:
-            raise ValidationError(
-                f"memo must be a ConflictMemo, None, or 'auto', got {memo!r}"
-            )
 
     def _physical(self, step_matrix: np.ndarray) -> np.ndarray:
         """Logical tile addresses → physical addresses under the layout.
@@ -373,9 +344,6 @@ class PairwiseMergeSort:
                 model, score_blocks=score_blocks, seed=seed
             )
         rng = as_generator(seed)
-        memo = self.memo
-        if memo is not None:
-            hits_base, misses_base = memo.hits, memo.misses
 
         result = SortResult(values=arr, config=cfg, num_elements=n)
         arr = self._base_register_phase(arr, result)
@@ -394,10 +362,6 @@ class PairwiseMergeSort:
             run *= 2
 
         result.values = arr
-        if memo is not None:
-            result.memo_stats = memo.stats(
-                hits_base=hits_base, misses_base=misses_base
-            )
         return result
 
     # -- phases ----------------------------------------------------------
@@ -578,8 +542,6 @@ class PairwiseMergeSort:
                 scored.size, cfg.tile_size
             )
             merge_report, part_report = self._counted_reports(
-                "block",
-                run,
                 addr_by_rank,
                 lambda pos: self._block_probe_counts(
                     flat_pre, run, scored[pos], pairs_per_tile
@@ -733,12 +695,10 @@ class PairwiseMergeSort:
             local, pairs, a_lo, b_lo, na = self._global_patterns(
                 order, run, scored, blocks_per_pair
             )
-            # A global block's memo key also binds its A-window length:
+            # Equal global blocks must also share their A-window length:
             # two blocks can share the permutation while splitting it
             # differently between windows, which changes the β₁ probes.
             merge_report, part_report = self._counted_reports(
-                "global",
-                run,
                 local,
                 lambda pos: self._global_probe_counts(
                     mat, run, pairs[pos], a_lo[pos], b_lo[pos], na[pos]
@@ -781,7 +741,7 @@ class PairwiseMergeSort:
         ``order`` holds the distinct pair rows of ``scored``, ascending.
         Returns ``(local, pairs, a_lo, b_lo, na)``: the ``(blocks, bE)``
         tile-local address map plus each block's owning pair and A/B window
-        offsets/length, shared by the vectorized and memoized paths.
+        offsets/length.
         """
         tile = self.config.tile_size
 
@@ -911,8 +871,6 @@ class PairwiseMergeSort:
 
     def _counted_reports(
         self,
-        kind: str,
-        run: int,
         patterns: np.ndarray,
         probe_fn,
         extra: np.ndarray | None = None,
@@ -921,12 +879,18 @@ class PairwiseMergeSort:
 
         ``patterns`` holds each scored tile's rank→address row;
         ``probe_fn(pos)`` runs :func:`probe_tile_counts` over the scored
-        tiles at positions ``pos``. Without a memo every scored tile is
-        counted and concatenated in scored order; with one, only tiles
-        whose pattern digest misses the memo are counted.
+        tiles at positions ``pos``. ``extra`` is one more per-tile column
+        two tiles must share to count as one (the global rounds' A-window
+        length). A tile's counts are a pure function of its row (DESIGN.md
+        §14), so each run of adjacent equal rows is counted once — at its
+        first tile — and its counts are repeated over the run. The result
+        is the same single concatenated per-step segment, in scored order,
+        as counting every tile; a round with no repeated row does exactly
+        that.
         """
         cfg = self.config
-        if self.memo is None:
+        starts, lengths = _adjacent_runs(patterns, extra)
+        if starts.size == patterns.shape[0]:
             part_steps, _, accesses, requests, replays = probe_fn(slice(None))
             return (
                 permutation_stage_report(patterns, cfg.E, cfg.w, self._layout),
@@ -938,109 +902,27 @@ class PairwiseMergeSort:
                     int(replays.sum()),
                 ),
             )
-        context = ConflictMemo.context(
-            kind,
-            num_banks=cfg.w,
-            elements_per_thread=cfg.E,
-            run_length=run,
-            padding=self.padding,
-            mitigation=self.mitigation.spec,
+        merge_steps, merge_replays = tile_merge_counts(
+            patterns[starts], cfg.E, cfg.w, self._layout
         )
-        keys = ConflictMemo.tile_digests(context, patterns, extra=extra)
-        return self._reports_memoized(context, keys, patterns, probe_fn)
-
-    # -- memoized scoring --------------------------------------------------
-
-    def _reports_memoized(
-        self,
-        context: bytes,
-        keys: list[bytes],
-        patterns: np.ndarray,
-        probe_fn,
-    ) -> tuple[ConflictReport, ConflictReport]:
-        """Shared tile/round memo machinery for both round kinds.
-
-        ``keys`` digests each row of ``patterns``. Only tiles whose
-        pattern digest misses the memo are scored — in one batched pass of
-        :func:`~repro.dmm.fused.tile_merge_counts` and ``probe_fn``, whose
-        per-tile counts become per-tile reports — and the round total is
-        assembled from per-tile reports exactly as the unmemoized path
-        would have counted it.
-        """
-        memo = self.memo
-        hits_before, misses_before = memo.hits, memo.misses
-        try:
-            return self._reports_memoized_inner(context, keys, patterns, probe_fn)
-        finally:
-            # Attribute this round's lookups to the active layout so
-            # `cache stats` can break memo traffic down per mitigation.
-            ConflictMemo.record_mitigation(
-                self.mitigation.spec,
-                memo.hits - hits_before,
-                memo.misses - misses_before,
-            )
-
-    def _reports_memoized_inner(
-        self,
-        context: bytes,
-        keys: list[bytes],
-        patterns: np.ndarray,
-        probe_fn,
-    ) -> tuple[ConflictReport, ConflictReport]:
-        cfg = self.config
-        memo = self.memo
-
-        round_key = ConflictMemo.round_digest(context, keys)
-        cached = memo.get_round(round_key)
-        if cached is not None:
-            return cached
-
-        lookups = [memo.get_tile(k) for k in keys]
-        miss_pos: list[int] = []
-        seen: set[bytes] = set()
-        for i, (key, pair) in enumerate(zip(keys, lookups)):
-            if pair is None and key not in seen:
-                seen.add(key)
-                miss_pos.append(i)
-
-        fresh: dict[bytes, tuple[ConflictReport, ConflictReport]] = {}
-        if miss_pos:
-            pos = np.asarray(miss_pos, dtype=np.int64)
-            ranks = patterns.shape[1]
-            merge_steps, merge_replays = tile_merge_counts(
-                patterns[pos], cfg.E, cfg.w, self._layout
-            )
-            part_steps, tile_steps, accesses, requests, replays = probe_fn(pos)
-            part_periods = np.split(part_steps, np.cumsum(tile_steps)[:-1])
-            for j, i in enumerate(miss_pos):
-                pair = (
-                    report_from_per_step(
-                        cfg.w, merge_steps[j], ranks, ranks, merge_replays[j]
-                    ),
-                    report_from_per_step(
-                        cfg.w,
-                        part_periods[j],
-                        accesses[j],
-                        requests[j],
-                        replays[j],
-                    ),
-                )
-                memo.put_tile(keys[i], pair)
-                # FIFO eviction could drop a just-stored entry before the
-                # assembly below re-reads it; keep this round's pairs
-                # reachable locally.
-                fresh[keys[i]] = pair
-
-        pairs = [
-            pair if pair is not None else fresh[key]
-            for key, pair in zip(keys, lookups)
-        ]
-        assembled = (
-            _assemble_reports([p[0] for p in pairs], keys, cfg.w),
-            _assemble_reports([p[1] for p in pairs], keys, cfg.w),
+        part_steps, tile_steps, accesses, requests, replays = probe_fn(starts)
+        run_of_tile = np.repeat(np.arange(starts.size), lengths)
+        return (
+            report_from_per_step(
+                cfg.w,
+                merge_steps[run_of_tile].ravel(),
+                patterns.size,
+                patterns.size,
+                int(merge_replays @ lengths),
+            ),
+            report_from_per_step(
+                cfg.w,
+                _repeat_segments(part_steps, tile_steps, lengths),
+                int(accesses @ lengths),
+                int(requests @ lengths),
+                int(replays @ lengths),
+            ),
         )
-        memo.put_round(round_key, assembled)
-        return assembled
 
 
 def _choose_blocks(
@@ -1089,28 +971,37 @@ def _gather_rows(flat: np.ndarray, order: np.ndarray) -> np.ndarray:
     return merged
 
 
-def _assemble_reports(
-    reports: list[ConflictReport], keys: list[bytes], num_banks: int
-) -> ConflictReport:
-    """Fold per-tile reports (in scored order) into one round report.
+def _adjacent_runs(
+    rows: np.ndarray, extra: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(starts, lengths)`` of the runs of adjacent equal rows.
 
-    Stretches of consecutive tiles with the same pattern digest fold via
-    :meth:`ConflictReport.scaled` — O(1) per stretch — so a periodic round
-    assembles in time proportional to its distinct stretches, not its tile
-    count, and the per-step sequence still materializes bit-identically to
-    the batched single-pass count.
+    Two adjacent rows join one run when they are equal and, if ``extra``
+    is given, so are their ``extra`` entries.
     """
-    total = ConflictReport.empty(num_banks)
-    i = 0
-    n = len(reports)
-    while i < n:
-        j = i + 1
-        while j < n and keys[j] == keys[i]:
-            j += 1
-        stretch = reports[i] if j - i == 1 else reports[i].scaled(j - i)
-        total = total.merged(stretch)
-        i = j
-    return total
+    num = rows.shape[0]
+    new_run = np.ones(num, dtype=bool)
+    if num > 1:
+        same = (rows[1:] == rows[:-1]).all(axis=1)
+        if extra is not None:
+            same &= extra[1:] == extra[:-1]
+        new_run[1:] = ~same
+    starts = np.flatnonzero(new_run)
+    return starts, np.diff(starts, append=num)
+
+
+def _repeat_segments(
+    flat: np.ndarray, seg_lengths: np.ndarray, repeats: np.ndarray
+) -> np.ndarray:
+    """Concatenate segment ``i`` of ``flat`` ``repeats[i]`` times, in order.
+
+    ``flat`` is the concatenation of segments of ``seg_lengths``.
+    """
+    seg_starts = np.cumsum(seg_lengths) - seg_lengths
+    out_lengths = np.repeat(seg_lengths, repeats)
+    out_offsets = np.cumsum(out_lengths) - out_lengths
+    shift = np.repeat(seg_starts, repeats) - out_offsets
+    return flat[np.arange(int(out_lengths.sum())) + np.repeat(shift, out_lengths)]
 
 
 def _score_stacked(rows: list[np.ndarray], num_banks: int) -> ConflictReport:

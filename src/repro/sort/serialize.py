@@ -22,7 +22,6 @@ import base64
 import numpy as np
 
 from repro.dmm.conflicts import ConflictReport
-from repro.dmm.memo import MemoStats
 from repro.errors import ValidationError
 from repro.gpu.global_memory import GlobalTraffic
 from repro.sort.config import SortConfig
@@ -192,31 +191,25 @@ def result_to_obj(result: SortResult, *, include_values: bool = True) -> dict:
 
     ``include_values=False`` drops the (potentially large) sorted array;
     the decoded result then carries an empty ``values`` array and
-    ``"values": None`` on the wire.
+    ``"values": None`` on the wire. ``"memo_stats"`` is always ``None``;
+    the field stays so existing readers keep parsing.
     """
-    memo = result.memo_stats
     return {
         "values": array_to_obj(result.values) if include_values else None,
         "config": config_to_obj(result.config),
         "num_elements": int(result.num_elements),
         "rounds": [round_to_obj(r) for r in result.rounds],
-        "memo_stats": None
-        if memo is None
-        else {
-            "hits": int(memo.hits),
-            "misses": int(memo.misses),
-            "tile_entries": int(memo.tile_entries),
-            "round_entries": int(memo.round_entries),
-            "stored_bytes": int(memo.stored_bytes),
-        },
+        "memo_stats": None,
     }
 
 
 def result_from_obj(obj: dict) -> SortResult:
-    """Decode :func:`result_to_obj` output."""
+    """Decode :func:`result_to_obj` output.
+
+    A ``"memo_stats"`` object from an older server is ignored.
+    """
     try:
         values = obj["values"]
-        memo = obj["memo_stats"]
         return SortResult(
             values=(
                 np.empty(0, dtype=np.int64)
@@ -226,7 +219,6 @@ def result_from_obj(obj: dict) -> SortResult:
             config=config_from_obj(obj["config"]),
             num_elements=int(obj["num_elements"]),
             rounds=[round_from_obj(r) for r in obj["rounds"]],
-            memo_stats=None if memo is None else MemoStats(**memo),
         )
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed result object: {exc}") from exc
@@ -284,7 +276,6 @@ def results_identical(
     if (
         a.config != b.config
         or a.num_elements != b.num_elements
-        or a.memo_stats != b.memo_stats
         or len(a.rounds) != len(b.rounds)
     ):
         return False

@@ -77,24 +77,6 @@ class TestVerifyFamily:
         assert len(reports) == 3
         assert all(r.ok for r in reports)
 
-    def test_shared_memo_matches_cold_verification(self):
-        """Family members verified against one shared memo must produce
-        the same verdicts as verifying each member cold."""
-        from repro.adversary.verify import verify_family
-        from repro.dmm.memo import ConflictMemo
-
-        cfg = SortConfig(elements_per_thread=3, block_size=8, warp_size=4)
-        n = cfg.tile_size * 4
-        memo = ConflictMemo()
-        warm = verify_family(cfg, n, 3, seed=1, memo=memo)
-        cold = verify_family(cfg, n, 3, seed=1, memo=None)
-        assert memo.hits > 0  # members are mostly pattern-identical
-        for w, c in zip(warm, cold):
-            assert w.ok == c.ok
-            assert [r.per_warp_cycles for r in w.rounds] == [
-                r.per_warp_cycles for r in c.rounds
-            ]
-
     def test_member_count_validated(self):
         from repro.adversary.verify import verify_family
         from repro.errors import ValidationError

@@ -1,20 +1,23 @@
-"""Cross-point memo sharing in the sweep layer.
+"""Sweeps share no scoring state across points.
 
-The pattern memo's headline claim is that a :class:`SweepRunner` carries
-one :class:`~repro.dmm.memo.ConflictMemo` across every instrumented sort
-of a sweep — and that this sharing is *pure speedup*: the produced
-``BenchPoint``s are equal to an unmemoized run's, the memo observably
-hits across points, and the ``"loop"`` oracle stays memo-free.
+The only reuse left in scoring lives inside one sort: the default path
+counts each run of adjacent equal tile rows once. A :class:`SweepRunner`
+therefore carries nothing from one point to the next, and a sweep —
+serial or fanned out over worker processes — must produce the same
+``BenchPoint``\\ s as one that counts every row. Pinned to simulated
+vectorized scoring: ``"auto"`` routes these constructed families to the
+analytic engine, where no tile is counted.
 """
 
 import pytest
 
 from repro.bench.runner import SweepRunner
 from repro.engine import execute_items, sweep_items
-from repro.dmm.memo import ConflictMemo
-from repro.errors import ValidationError
 from repro.gpu.device import QUADRO_M4000
 from repro.sort.config import SortConfig
+from tests.engine.comparison import counting_every_row, rows_counted
+
+FAMILIES = ("worst-case", "sorted")
 
 
 @pytest.fixture
@@ -23,147 +26,48 @@ def cfg():
 
 
 def make_runner(cfg, **kwargs):
-    defaults = dict(exact_threshold=cfg.tile_size * 32, score_blocks=4, seed=0)
+    defaults = dict(
+        exact_threshold=cfg.tile_size * 32,
+        score_blocks=4,
+        seed=0,
+        scoring="vectorized",
+    )
     defaults.update(kwargs)
     return SweepRunner(cfg, QUADRO_M4000, **defaults)
-
-
-class TestRunnerMemoResolution:
-    def test_auto_builds_one_shared_memo(self, cfg):
-        runner = make_runner(cfg)
-        assert isinstance(runner.memo, ConflictMemo)
-
-    def test_auto_with_loop_scoring_is_memo_free(self, cfg):
-        assert make_runner(cfg, scoring="loop").memo is None
-
-    def test_explicit_memo_with_loop_rejected(self, cfg):
-        with pytest.raises(ValidationError):
-            make_runner(cfg, scoring="loop", memo=ConflictMemo())
-
-    def test_none_escape_hatch(self, cfg):
-        assert make_runner(cfg, memo=None).memo is None
 
 
 class TestSweepBitIdentity:
     def test_memoized_sweep_matches_unmemoized(self, cfg):
         sizes = [cfg.tile_size * (1 << k) for k in range(3)]
-        for name in ("worst-case", "sorted"):
-            memoized = make_runner(cfg).sweep(name, sizes)
-            plain = make_runner(cfg, memo=None).sweep(name, sizes)
+        for name in FAMILIES:
+            memoized = []
+            assert rows_counted(
+                lambda: memoized.extend(make_runner(cfg).sweep(name, sizes))
+            )
+            with counting_every_row():
+                plain = make_runner(cfg).sweep(name, sizes)
             assert memoized == plain  # BenchPoints are dataclass-equal
-
-    def test_memo_hits_across_points(self, cfg):
-        """The block rounds of every point of a sweep repeat the same
-        patterns — after the first point, lookups must start hitting.
-        Pinned to simulated vectorized scoring: the registry-wide "auto"
-        default routes these constructed families analytic, where the
-        memo (by design) never engages."""
-        runner = make_runner(cfg, scoring="vectorized")
-        runner.sweep("worst-case", [cfg.tile_size * 2, cfg.tile_size * 4])
-        assert runner.memo.hits > 0
-
-    def test_memo_shared_across_input_families(self, cfg):
-        """One runner, several families: the shared memo keeps hitting
-        wherever families overlap (worst-case rounds recur per size)."""
-        runner = make_runner(cfg, scoring="vectorized")
-        runner.sweep("worst-case", [cfg.tile_size * 2])
-        hits_before = runner.memo.hits
-        runner.sweep("worst-case", [cfg.tile_size * 2])
-        assert runner.memo.hits > hits_before
-
-    def test_explicit_memo_shared_between_runners(self, cfg):
-        """Passing one memo to several runners widens the hit pool without
-        changing results (entries are keyed by the full context)."""
-        shared = ConflictMemo()
-        first = make_runner(cfg, memo=shared, scoring="vectorized")
-        second = make_runner(cfg, memo=shared, scoring="vectorized")
-        n = cfg.tile_size * 2
-        point_a = first.run_point("worst-case", n)
-        hits_before = shared.hits
-        point_b = second.run_point("worst-case", n)
-        assert shared.hits > hits_before
-        assert point_a == point_b
-        assert point_b == make_runner(cfg, memo=None).run_point("worst-case", n)
-
-    def test_auto_routed_analytic_points_skip_the_memo(self, cfg):
-        """Regression for the unified default: a default-constructed
-        runner routes analytic-eligible constructed-family points to the
-        closed-form engine, so its memo must stay untouched while the
-        points still match a pinned vectorized run bit-for-bit."""
-        sizes = [cfg.tile_size * 2, cfg.tile_size * 4]
-        routed = make_runner(cfg)
-        points = routed.sweep("worst-case", sizes)
-        assert routed.memo.hits == 0 and routed.memo.misses == 0
-        pinned = make_runner(cfg, scoring="vectorized").sweep(
-            "worst-case", sizes
-        )
-        assert points == pinned
 
 
 class TestParallelMemo:
-    def test_pool_workers_ship_memo_stats_to_parent(self, cfg):
-        """Regression: the memo's ``_process_*`` counters are class
-        attributes mutated in whichever process runs the sort, so under
-        ``--engine pool`` the workers' hits/misses never used to reach
-        the parent — ``cache stats``, sweep memo lines, and the service
-        ``/stats`` all under-reported. Each worker result now carries a
-        MemoStats delta that the parent folds into its aggregate."""
-        items = sweep_items(
-            cfg,
-            QUADRO_M4000,
-            ("worst-case",),
-            [cfg.tile_size * 2, cfg.tile_size * 4],
-            exact_threshold=cfg.tile_size * 8,
-            score_blocks=4,
-            scoring="vectorized",  # memo engages only on simulated points
-        )
-        before = ConflictMemo.process_stats()
-        execute_items(items, jobs=2)
-        delta = ConflictMemo.process_stats_delta(before)
-        # The sorts ran in worker processes, yet the parent aggregate
-        # must have grown: misses always (cold worker memos), and entries
-        # retained by the workers are visible too.
-        assert delta.misses > 0
-        assert delta.tile_entries > 0
-
-    def test_absorb_stats_folds_every_field(self):
-        from repro.dmm.memo import MemoStats
-
-        before = ConflictMemo.process_stats()
-        delta = MemoStats(
-            hits=3, misses=2, tile_entries=1, round_entries=1, stored_bytes=64
-        )
-        ConflictMemo.absorb_stats(delta)
-        grown = ConflictMemo.process_stats_delta(before)
-        assert grown == delta
-        # Negative deltas (worker-side eviction) fold back out.
-        ConflictMemo.absorb_stats(
-            MemoStats(
-                hits=-3,
-                misses=-2,
-                tile_entries=-1,
-                round_entries=-1,
-                stored_bytes=-64,
-            )
-        )
-        assert ConflictMemo.process_stats() == before
-
     def test_parallel_points_match_unmemoized_serial(self, cfg):
-        """Workers keep per-process memos (runners default to "auto");
-        fan-out must still reproduce the unmemoized serial points."""
+        """Workers count each run once; fan-out must still reproduce the
+        serial points that count every row."""
         items = sweep_items(
             cfg,
             QUADRO_M4000,
-            ("worst-case", "sorted"),
+            FAMILIES,
             [cfg.tile_size * 2, cfg.tile_size * 4],
             exact_threshold=cfg.tile_size * 8,
             score_blocks=4,
+            scoring="vectorized",
         )
         parallel = execute_items(items, jobs=2)
-        serial_plain = [
-            make_runner(
-                cfg, exact_threshold=cfg.tile_size * 8, memo=None
-            ).run_point(item.input_name, item.num_elements)
-            for item in items
-        ]
+        with counting_every_row():
+            serial_plain = [
+                make_runner(cfg, exact_threshold=cfg.tile_size * 8).run_point(
+                    item.input_name, item.num_elements
+                )
+                for item in items
+            ]
         assert parallel == serial_plain

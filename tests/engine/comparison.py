@@ -8,8 +8,12 @@ way: same sorted values, same round structure, same conflict counters,
 same per-step cost arrays.
 """
 
+import contextlib
+from unittest import mock
+
 import numpy as np
 
+from repro.sort import pairwise
 from repro.sort.config import SortConfig
 
 CONFIGS = {
@@ -56,3 +60,32 @@ def assert_results_identical(rv, rl):
             sv.partition_report, sl.partition_report, sv.label
         )
         assert_reports_identical(sv.staging_report, sl.staging_report, sv.label)
+
+
+def _every_row_runs(rows, extra=None):
+    num = rows.shape[0]
+    return np.arange(num), np.ones(num, dtype=np.int64)
+
+
+@contextlib.contextmanager
+def counting_every_row():
+    """Make every scored tile a run of its own: each round then counts
+    every row itself, the ground truth of the default path, which counts
+    each run of adjacent equal rows once."""
+    with mock.patch.object(pairwise, "_adjacent_runs", _every_row_runs):
+        yield
+
+
+def rows_counted(run):
+    """Row counts that ``run()`` passes to ``tile_merge_counts``: one
+    entry per round that counted a run of equal tiles once."""
+    calls = []
+    original = pairwise.tile_merge_counts
+
+    def recording(rows, *args, **kw):
+        calls.append(rows.shape[0])
+        return original(rows, *args, **kw)
+
+    with mock.patch.object(pairwise, "tile_merge_counts", recording):
+        run()
+    return calls

@@ -1,8 +1,7 @@
 """Every registered engine against the per-tile loop oracle.
 
 This suite replaces the per-pair equivalence matrices that used to live
-in ``tests/sort/test_pairwise_equivalence.py`` (loop vs vectorized),
-``tests/sort/test_memoized_scoring.py`` (memoized vs both), and
+in ``tests/sort/test_pairwise_equivalence.py`` (loop vs vectorized) and
 ``tests/sort/test_analytic_equivalence.py`` (three-way): one
 parametrized matrix runs *every* engine in the registry — including the
 process-pool and service engines, which never had equivalence coverage —
@@ -19,7 +18,7 @@ Alongside the sort matrix:
 * the unified-default regressions: ``WorkItem``, ``SweepRunner``, and
   the registry agree on ``DEFAULT_SCORING``, serial and pooled sweeps
   resolve the same engine per point, and a default runner routes
-  analytic-eligible points closed-form (its memo stays untouched).
+  analytic-eligible points closed-form (no simulated sort runs).
 """
 
 import asyncio
@@ -173,13 +172,13 @@ class TestSortPlanBitIdentity:
     @pytest.mark.parametrize("input_name", INPUTS)
     @pytest.mark.parametrize(
         "engine_name",
-        ["inline", "inline-vectorized", "inline-memoized", "inline-fused"],
+        ["inline", "inline-vectorized", "inline-fused"],
     )
     def test_inline_matrix_all_configs_and_inputs(
         self, engines, engine_name, config_name, input_name
     ):
-        """The historical loop-vs-vectorized and loop-vs-memoized
-        matrices (every input family × every E regime), now phrased as
+        """The historical loop-vs-vectorized matrix (every input family
+        × every E regime), now phrased as
         engine rows — the "auto" engine rides along so its per-task
         routing is exercised on eligible and ineligible inputs alike."""
         cfg = CONFIGS[config_name]
@@ -212,7 +211,7 @@ class TestSortPlanBitIdentity:
     ):
         """The matrix acceptance bar: every mitigation layout produces
         bit-identical results through every simulating engine — inline,
-        memoized, fused, pool, and the served wire path. The
+        vectorized, fused, pool, and the served wire path. The
         worst-case family is analytic-eligible, so this also pins that
         "auto" routing never hands an unmodeled layout to the closed
         form."""
@@ -320,10 +319,16 @@ class TestUnifiedScoringDefault:
         items = make_items()
         assert execute_items(items, jobs=1) == execute_items(items, jobs=2)
 
-    def test_default_runner_routes_analytic(self):
+    def test_default_runner_routes_analytic(self, monkeypatch):
         """A default-constructed runner sends analytic-eligible points
         through the closed form: the instrumented sort still runs once,
-        but the memo never sees a lookup."""
+        but never as a simulated sort."""
+        import repro.bench.runner as runner_module
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("analytic-eligible point was simulated")
+
+        monkeypatch.setattr(runner_module, "PairwiseMergeSort", no_simulation)
         runner = SweepRunner(
             PCFG,
             QUADRO_M4000,
@@ -332,4 +337,3 @@ class TestUnifiedScoringDefault:
         )
         runner.run_point("worst-case", PCFG.tile_size * 2)
         assert runner.instrumented_sorts == 1
-        assert runner.memo.hits == 0 and runner.memo.misses == 0

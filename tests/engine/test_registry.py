@@ -27,7 +27,6 @@ class TestNames:
             "inline",
             "inline-fused",
             "inline-loop",
-            "inline-memoized",
             "inline-vectorized",
             "pool",
             "service",
@@ -51,7 +50,7 @@ class TestNames:
         finally:
             register_engine(
                 "inline-loop",
-                _inline_factory("inline-loop", "loop", False),
+                _inline_factory("inline-loop", "loop"),
                 replace=True,
             )
 
@@ -111,22 +110,12 @@ class TestAutoRouting:
 class TestScoringEngineMapping:
     def test_round_trip(self):
         for scoring in SCORING_MODES:
-            for memoized in (True, False):
-                name = engine_for_scoring(scoring, memoized=memoized)
-                fields = scoring_for_engine(name)
-                # The engine's wire fields reproduce the scoring (modulo
-                # memo collapsing for modes that cannot memoize).
-                assert fields["scoring"] == scoring or scoring in (
-                    "loop",
-                    "analytic",
-                    "auto",
-                )
+            assert scoring_for_engine(engine_for_scoring(scoring)) == scoring
 
-    def test_vectorized_memo_split(self):
-        assert engine_for_scoring("vectorized", memoized=True) \
-            == "inline-memoized"
-        assert engine_for_scoring("vectorized", memoized=False) \
-            == "inline-vectorized"
+    def test_each_scoring_has_its_own_engine(self):
+        engines = [engine_for_scoring(scoring) for scoring in SCORING_MODES]
+        assert len(set(engines)) == len(SCORING_MODES)
+        assert engine_for_scoring("vectorized") == "inline-vectorized"
 
     def test_pool_and_service_have_no_wire_equivalent(self):
         for name in ("pool", "service"):

@@ -10,15 +10,15 @@ Three guarantees anchor the adversary-vs-mitigation matrix:
   replays on every constructed family, on every backend, while the
   stock layout reproduces the paper's pile-up on the same inputs.
 
-Plus the property that makes all of it memo-safe: a remap keys off the
-warp *lane* (trailing-axis column), never the global row position, so
-the memoized path's tile-subset re-stacking cannot change the answer.
+Plus the property that makes tile-subset scoring safe: a remap keys off
+the warp *lane* (trailing-axis column), never the global row position,
+so scoring sampled tiles, or one tile per run of equal tiles, cannot
+change the answer.
 """
 
 import numpy as np
 import pytest
 
-from repro.dmm.memo import ConflictMemo
 from repro.errors import ValidationError
 from repro.inputs.generators import generate
 from repro.mitigation.padding import pad_addresses
@@ -27,8 +27,17 @@ from repro.mitigation.registry import (
     create_mitigation,
     reconcile_mitigation,
 )
+from repro.service.protocol import SimulateRequest
+from repro.service.result_cache import ResultCache, simulate_key
 from repro.sort.pairwise import PairwiseMergeSort
-from tests.engine.comparison import CONFIGS, INPUTS, assert_results_identical
+from repro.sort.serialize import config_to_obj
+from tests.engine.comparison import (
+    CONFIGS,
+    INPUTS,
+    assert_results_identical,
+    counting_every_row,
+    rows_counted,
+)
 
 CFG = CONFIGS["small-e"]
 N = CFG.tile_size * 8
@@ -141,9 +150,9 @@ class TestCfreeLayoutsAreConflictFree:
 
     @pytest.mark.parametrize("spec", CFREE_SPECS)
     def test_remap_is_row_position_independent(self, spec):
-        """The memo-safety property: remapping a subset of rows equals
-        taking the same subset of the remapped whole, so the memoized
-        path's tile-subset re-stacking is bit-identical."""
+        """The tile-subset property: remapping a subset of rows equals
+        taking the same subset of the remapped whole, so scoring a subset
+        of tiles is bit-identical."""
         backend = create_mitigation(spec)
         rng = np.random.default_rng(2)
         dense = rng.integers(0, 256, size=(32, 8)).astype(np.int64)
@@ -158,11 +167,14 @@ class TestScoringPathsAgreePerMitigation:
         "spec", ["none", "padding:1", "cfree-sort", "cfree-permute"]
     )
     def test_memoized_fused_loop_match_vectorized(self, spec):
+        """The default path reuses each run's counts (and must engage on
+        this periodic input); counting every row is the reference."""
         data = generate("worst-case", CFG, N, seed=0)
-        reference = _sort(spec, data=data)
-        memoized = _sort(spec, data=data, memo=ConflictMemo())
-        assert memoized.memo_stats.misses > 0  # the memo actually engaged
-        assert_results_identical(memoized, reference)
+        with counting_every_row():
+            reference = _sort(spec, data=data)
+        memoized = []
+        assert rows_counted(lambda: memoized.append(_sort(spec, data=data)))
+        assert_results_identical(memoized[0], reference)
         for scoring in ("fused", "loop"):
             assert_results_identical(
                 _sort(spec, data=data, scoring=scoring), reference
@@ -170,14 +182,21 @@ class TestScoringPathsAgreePerMitigation:
 
     def test_memo_context_separates_mitigations(self):
         """Warm state from one layout must never serve another: the
-        mitigation spec is part of the memo context digest."""
-        memo = ConflictMemo()
+        daemon's result cache keys on the mitigation spec."""
         data = generate("worst-case", CFG, N, seed=0)
-        first = _sort("none", data=data, memo=memo)
-        second = _sort("cfree-sort", data=data, memo=memo)
+        cache = ResultCache()
+        results = []
+        for spec in ("none", "cfree-sort"):
+            request = SimulateRequest.from_payload(
+                {"config": config_to_obj(CFG), "tiles": 8, "mitigation": spec}
+            )
+            key = simulate_key(request, data)
+            assert cache.get(key) is None  # nothing leaked across layouts
+            results.append(_sort(spec, data=data))
+            cache.put(key, results[-1])
+        first, second = results
         assert first.total_replays() > 0
         assert second.total_replays() == 0
-        assert second.memo_stats.hits == 0  # nothing leaked across layouts
 
     def test_analytic_rejects_unmodeled_layouts(self):
         with pytest.raises(ValidationError):

@@ -30,7 +30,6 @@ class TestRequestCli:
             out = capsys.readouterr().out
             assert "sorted correctly: True" in out
             assert "served by coalescing: False" in out
-            assert "memoized scoring (server-side):" in out
 
     def test_construct_saves_npy(self, service_factory, tmp_path, capsys):
         from repro.adversary.permutation import worst_case_permutation
@@ -74,12 +73,14 @@ class TestEngineSelection:
             )
             assert "sorted correctly: True" in capsys.readouterr().out
 
-    def test_engine_inline_memoized_round_trips(self, service_factory, capsys):
+    def test_engine_inline_vectorized_round_trips(
+        self, service_factory, capsys
+    ):
         with service_factory() as box:
             assert (
                 main(["request", "simulate", "--url", url(box),
                       "--preset", "mgpu-maxwell", "--tiles", "2",
-                      "--engine", "inline-memoized"])
+                      "--engine", "inline-vectorized"])
                 == 0
             )
             assert "sorted correctly: True" in capsys.readouterr().out

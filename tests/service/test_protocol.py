@@ -3,7 +3,7 @@
 The load-bearing property: a :class:`SortResult` (or
 :class:`BenchPoint`) pushed through the JSON wire format comes back
 bit-identical to the direct library call that produced it — including
-array dtypes, run-length segment structure, and ``memo_stats`` deltas.
+array dtypes and run-length segment structure.
 """
 
 import json
@@ -37,10 +37,10 @@ from repro.sort.serialize import (
 from tests.service.conftest import small_config
 
 
-def sorted_result(cfg=None, *, memo="auto", tiles=4, seed=0):
+def sorted_result(cfg=None, *, tiles=4, seed=0):
     cfg = cfg or small_config()
     data = generate("worst-case", cfg, cfg.tile_size * tiles, seed=seed)
-    return PairwiseMergeSort(cfg, memo=memo).sort(data, score_blocks=2, seed=seed)
+    return PairwiseMergeSort(cfg).sort(data, score_blocks=2, seed=seed)
 
 
 class TestArrayCodec:
@@ -79,21 +79,19 @@ class TestResultRoundTrip:
         assert results_identical(back, result)
         assert back.values.dtype == result.values.dtype
 
-    def test_memo_stats_delta_preserved(self):
-        # Two sorts against one sorter: the second call's memo_stats is a
-        # nonzero-hit delta, and it must survive the wire byte-for-byte.
-        cfg = small_config()
-        sorter = PairwiseMergeSort(cfg, memo="auto")
-        data = generate("worst-case", cfg, cfg.tile_size * 4, seed=0)
-        sorter.sort(data, score_blocks=2, seed=0)
-        second = sorter.sort(data, score_blocks=2, seed=0)
-        assert second.memo_stats is not None and second.memo_stats.hits > 0
-        back = result_from_obj(json.loads(json.dumps(result_to_obj(second))))
-        assert back.memo_stats == second.memo_stats
+    def test_old_server_memo_stats_object_is_ignored(self):
+        result = sorted_result()
+        obj = result_to_obj(result)
+        obj["memo_stats"] = {"hits": 3, "misses": 1}
+        back = result_from_obj(obj)
+        assert back.memo_stats is None
+        assert results_identical(back, result)
 
     def test_unmemoized_result_round_trips(self):
-        result = sorted_result(memo=None)
-        back = result_from_obj(result_to_obj(result))
+        result = sorted_result()
+        obj = result_to_obj(result)
+        assert obj["memo_stats"] is None
+        back = result_from_obj(obj)
         assert back.memo_stats is None
         assert results_identical(back, result)
 

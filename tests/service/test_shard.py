@@ -36,7 +36,7 @@ class TestRouterBasics:
             # per-round replays equal a direct library sort.
             cfg = small_config()
             data = generate("worst-case", cfg, cfg.tile_size * 4, seed=0)
-            direct = PairwiseMergeSort(cfg, memo="auto").sort(data, seed=0)
+            direct = PairwiseMergeSort(cfg).sort(data, seed=0)
             assert np.array_equal(served.result.values, direct.values)
             assert [r.replays for r in served.result.rounds] == [
                 r.replays for r in direct.rounds
@@ -112,12 +112,16 @@ class TestMetricsEndpoint:
             assert 'repro_jobs{state="running"} 0' in text
             assert "repro_chunk_retries_total 0" in text
 
-    def test_worker_metrics_include_process_memo(self, service_factory):
+    def test_worker_metrics_include_result_cache(self, service_factory):
         with service_factory() as box:
             box.client.simulate(config=CFG_OBJ, tiles=4, input="random")
+            box.client.simulate(config=CFG_OBJ, tiles=4, input="random")
             text = box.client.metrics()
-            assert "# TYPE repro_memo_misses_total counter" in text
-            assert "repro_memo_process_misses_total" in text
+            assert "# TYPE repro_result_cache_hits_total counter" in text
+            assert "repro_result_cache_hits_total 1" in text
+            assert "repro_result_cache_misses_total 1" in text
+            assert "# TYPE repro_result_cache_bytes gauge" in text
+            assert "repro_memo" not in text
             assert 'repro_executed_total{kind="simulate"} 1' in text
 
 

@@ -74,14 +74,6 @@ class TestEligibility:
         with pytest.raises(ValidationError):
             detect_model(data, cfg)
 
-    def test_explicit_memo_rejected_for_analytic(self):
-        from repro.dmm.memo import ConflictMemo
-
-        with pytest.raises(ValidationError, match="memo"):
-            PairwiseMergeSort(
-                CONFIGS["small-e"], scoring="analytic", memo=ConflictMemo()
-            )
-
 
 class TestServedRoundTrip:
     """A result served over the wire must decode bit-identical to the one

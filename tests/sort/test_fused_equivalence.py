@@ -23,7 +23,12 @@ from repro.dmm import fused as dmm_fused
 from repro.inputs.generators import generate
 from repro.sort.config import SortConfig
 from repro.sort.pairwise import PairwiseMergeSort
-from tests.engine.comparison import FAMILIES, assert_results_identical
+from tests.engine.comparison import (
+    FAMILIES,
+    assert_results_identical,
+    counting_every_row,
+    rows_counted,
+)
 
 CONFIGS = {
     "small-e": SortConfig(elements_per_thread=3, block_size=16, warp_size=8),
@@ -96,26 +101,33 @@ class TestFusedMatchesLoop:
 
 
 class TestFusedMatchesSiblings:
-    """Fused ≡ vectorized ≡ memoized (all already ≡ loop; these pins are
-    direct so a failure names the diverging pair)."""
+    """Fused ≡ vectorized, counting every row or each run of equal rows
+    once (all already ≡ loop; these pins are direct so a failure names
+    the diverging pair)."""
 
     @pytest.mark.parametrize("input_name", FAMILIES)
     def test_vectorized(self, input_name):
         n = CONFIGS["small-e"].tile_size * 8
         cfg = CONFIGS["small-e"]
         data = generate(input_name, cfg, n, seed=0)
-        rv = PairwiseMergeSort(cfg, memo=None).sort(data, seed=0)
+        with counting_every_row():
+            rv = PairwiseMergeSort(cfg).sort(data, seed=0)
         assert_results_identical(
             fused_result("small-e", input_name, n, 0, None), rv
         )
 
     def test_memoized(self):
+        """The default vectorized path, which counts each run of the
+        periodic worst-case input once."""
         n = CONFIGS["small-e"].tile_size * 8
         cfg = CONFIGS["small-e"]
         data = generate("worst-case", cfg, n, seed=0)
-        rm = PairwiseMergeSort(cfg, memo="auto").sort(data, seed=0)
+        rm = []
+        assert rows_counted(
+            lambda: rm.append(PairwiseMergeSort(cfg).sort(data, seed=0))
+        )
         assert_results_identical(
-            fused_result("small-e", "worst-case", n, 0, None), rm
+            fused_result("small-e", "worst-case", n, 0, None), rm[0]
         )
 
 

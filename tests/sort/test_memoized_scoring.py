@@ -1,155 +1,121 @@
-"""The pattern memo's warm-state contract and configuration surface.
+"""Reused counts within one sort: the default path's contract.
 
-The memoized-vs-plain-vs-loop equivalence *matrix* moved to
-``tests/engine/test_engine_equivalence.py`` (the ``inline-memoized``
-engine rows). What stays here is what only the memo itself can show:
-warm-memo behavior (round-level hits, cross-sort and cross-size
-sharing, eviction churn staying exact), the sampled-draws case that
-must hold *while memoizing*, and the memo configuration/validation
-surface of ``PairwiseMergeSort``.
+A tile's counts are a pure function of its rank→address row, so the
+default scoring path counts each run of adjacent equal rows once and
+reuses the counts over the run. Nothing of it outlives a sort; the one
+warm state left is the daemon's whole-sort result cache. What is pinned
+here is that the reuse engages on periodic inputs, that it stays
+bit-identical to counting every row and to the loop oracle (sampled
+rounds included), that the result cache serves exact results under
+eviction churn, and that results carry no memo statistics.
+:mod:`tests.dmm.test_run_dedup` holds the property tests over injected
+runs.
 """
 
 import numpy as np
 import pytest
 
-from repro.dmm.memo import ConflictMemo
-from repro.errors import ValidationError
 from repro.inputs.generators import generate
+from repro.service.result_cache import ResultCache, result_bytes
 from repro.sort.pairwise import PairwiseMergeSort
-from tests.engine.comparison import CONFIGS, assert_results_identical
+from tests.engine.comparison import (
+    CONFIGS,
+    assert_results_identical,
+    counting_every_row,
+    rows_counted,
+)
 
 
 def run_three(config, data, *, score_blocks=None, seed=0, padding=0):
-    """One sort per scoring path: memoized, plain vectorized, loop."""
-    results = []
-    for kwargs in (
-        {"memo": ConflictMemo()},
-        {"memo": None},
-        {"scoring": "loop"},
-    ):
-        sorter = PairwiseMergeSort(config, padding=padding, **kwargs)
-        results.append(sorter.sort(data, score_blocks=score_blocks, seed=seed))
-    return results
+    """One sort per scoring path: default, every row counted, loop."""
+    def sort(**kwargs):
+        return PairwiseMergeSort(config, padding=padding, **kwargs).sort(
+            data, score_blocks=score_blocks, seed=seed
+        )
+
+    default = sort()
+    with counting_every_row():
+        every_row = sort()
+    return default, every_row, sort(scoring="loop")
 
 
 class TestMemoizedSampling:
     @pytest.mark.parametrize("score_blocks", [1, 2, 3])
     def test_sampled_rounds_share_rng_draws(self, score_blocks):
+        """Sampled rounds reuse counts over the scored tiles only and
+        draw the same blocks as the other paths."""
         cfg = CONFIGS["small-e"]
-        data = generate("random", cfg, cfg.tile_size * 16, seed=3)
-        memoized, plain, loop = run_three(
-            cfg, data, score_blocks=score_blocks, seed=777
-        )
-        assert_results_identical(memoized, plain)
-        assert_results_identical(memoized, loop)
+        for name in ("random", "worst-case"):
+            data = generate(name, cfg, cfg.tile_size * 16, seed=3)
+            default, every_row, loop = run_three(
+                cfg, data, score_blocks=score_blocks, seed=777
+            )
+            assert_results_identical(default, every_row)
+            assert_results_identical(default, loop)
 
 
 class TestWarmMemo:
     def test_round_hits_stay_bit_identical(self):
-        """A second sort of the same data is served by round-level hits;
-        its result must still match a cold sort exactly."""
+        """Rounds whose tiles collapse into one run still match counting
+        every row, and a sorter holds no state between sorts."""
         cfg = CONFIGS["small-e"]
         data = generate("worst-case", cfg, cfg.tile_size * 8, seed=0)
-        memo = ConflictMemo()
-        sorter = PairwiseMergeSort(cfg, memo=memo)
+        sorter = PairwiseMergeSort(cfg)
         first = sorter.sort(data)
         second = sorter.sort(data)
         assert_results_identical(second, first)
-        assert_results_identical(
-            second, PairwiseMergeSort(cfg, memo=None).sort(data)
-        )
-        assert second.memo_stats.hits > 0
-        assert second.memo_stats.misses == 0  # every round replayed from cache
-
-    def test_cross_size_sharing(self):
-        """Block-round work recurs across sweep sizes: sorting 2N after N
-        with a shared memo must hit and stay exact."""
-        cfg = CONFIGS["small-e"]
-        memo = ConflictMemo()
-        sorter = PairwiseMergeSort(cfg, memo=memo)
-        small = generate("worst-case", cfg, cfg.tile_size * 4, seed=0)
-        large = generate("worst-case", cfg, cfg.tile_size * 8, seed=0)
-        sorter.sort(small)
-        warm = sorter.sort(large)
-        assert warm.memo_stats.hits > 0
-        assert_results_identical(
-            warm, PairwiseMergeSort(cfg, memo=None).sort(large)
-        )
+        with counting_every_row():
+            every_row = PairwiseMergeSort(cfg).sort(data)
+        assert_results_identical(second, every_row)
 
     def test_periodic_input_dedups_within_one_sort(self):
-        """The constructed input is periodic at every round — even a cold
-        sort must dedup its tiles rather than score each one. (A cold memo
-        has nothing to *hit*; dedup shows up as far fewer stored tile
-        entries than lookups.)"""
+        """The constructed input is periodic at every round: each of its
+        rounds counts one row for all its tiles."""
         cfg = CONFIGS["small-e"]
-        data = generate("worst-case", cfg, cfg.tile_size * 8, seed=0)
-        stats = PairwiseMergeSort(cfg, memo=ConflictMemo()).sort(data).memo_stats
-        assert stats.hits == 0
-        # Every round of the periodic input presents one repeated pattern:
-        # exactly one unique tile entry per memoized round, despite each
-        # round looking up every scored tile.
-        assert stats.tile_entries == stats.round_entries
-        assert stats.misses > 2 * stats.tile_entries
+        tiles = 8
+        data = generate("worst-case", cfg, cfg.tile_size * tiles, seed=0)
+        rounds = PairwiseMergeSort(cfg).sort(data).rounds
+        counted = rows_counted(lambda: PairwiseMergeSort(cfg).sort(data))
+        merge_rounds = [r for r in rounds if r.kind != "registers"]
+        assert all(r.blocks_scored == tiles for r in merge_rounds)
+        assert counted == [1] * len(merge_rounds)
+
 
     def test_eviction_churn_stays_exact(self):
-        """A pathologically small table forces constant FIFO eviction; the
-        memoized result must still be bit-identical."""
+        """The one warm state left is the daemon's result cache. A budget
+        of one result forces an eviction on every store; whatever it
+        serves must still be bit-identical to a fresh sort."""
         cfg = CONFIGS["small-e"]
-        data = generate("random", cfg, cfg.tile_size * 16, seed=7)
-        memoized = PairwiseMergeSort(cfg, memo=ConflictMemo(max_entries=2)).sort(
-            data
-        )
-        assert_results_identical(
-            memoized, PairwiseMergeSort(cfg, memo=None).sort(data)
-        )
+        inputs = [
+            generate(name, cfg, cfg.tile_size * 4, seed=7)
+            for name in ("random", "worst-case", "sawtooth")
+        ]
+        fresh = [PairwiseMergeSort(cfg).sort(data) for data in inputs]
+        cache = ResultCache(max_bytes=max(map(result_bytes, fresh)))
+        for _ in range(2):
+            for key, data, expected in zip((b"r", b"w", b"s"), inputs, fresh):
+                served = cache.get(key)
+                if served is None:
+                    served = PairwiseMergeSort(cfg).sort(data)
+                    cache.put(key, served)
+                assert_results_identical(served, expected)
+                assert len(cache) == 1
+        assert cache.stored_bytes <= cache.max_bytes
 
 
 class TestMemoConfiguration:
-    def test_auto_default_builds_memo(self):
-        assert isinstance(PairwiseMergeSort(CONFIGS["tiny"]).memo, ConflictMemo)
-
-    def test_auto_with_loop_scoring_is_memo_free(self):
-        assert PairwiseMergeSort(CONFIGS["tiny"], scoring="loop").memo is None
-
-    def test_none_escape_hatch(self):
-        sorter = PairwiseMergeSort(CONFIGS["tiny"], memo=None)
-        assert sorter.memo is None
-        data = generate("random", CONFIGS["tiny"], CONFIGS["tiny"].tile_size * 2)
-        assert sorter.sort(data).memo_stats is None
-
     def test_loop_result_has_no_memo_stats(self):
+        """``memo_stats`` stays on the wire for old readers; no scoring
+        path fills it."""
         cfg = CONFIGS["tiny"]
         data = generate("random", cfg, cfg.tile_size * 2)
-        result = PairwiseMergeSort(cfg, scoring="loop").sort(data)
-        assert result.memo_stats is None
-
-    def test_explicit_memo_with_loop_rejected(self):
-        with pytest.raises(ValidationError):
-            PairwiseMergeSort(
-                CONFIGS["tiny"], scoring="loop", memo=ConflictMemo()
-            )
-
-    def test_bad_memo_value_rejected(self):
-        with pytest.raises(ValidationError):
-            PairwiseMergeSort(CONFIGS["tiny"], memo="always")
-
-    def test_memo_stats_is_per_sort_delta(self):
-        """With a shared memo, each result reports its own sort's hits and
-        misses, not the memo's lifetime counters."""
-        cfg = CONFIGS["tiny"]
-        data = generate("sorted", cfg, cfg.tile_size * 4)
-        memo = ConflictMemo()
-        sorter = PairwiseMergeSort(cfg, memo=memo)
-        first = sorter.sort(data)
-        second = sorter.sort(data)
-        assert first.memo_stats.misses > 0
-        assert second.memo_stats.misses == 0
-        assert memo.hits == first.memo_stats.hits + second.memo_stats.hits
-        assert memo.misses == first.memo_stats.misses + second.memo_stats.misses
+        for scoring in ("loop", "vectorized", "fused"):
+            result = PairwiseMergeSort(cfg, scoring=scoring).sort(data)
+            assert result.memo_stats is None
 
 
 def test_values_still_sorted():
     cfg = CONFIGS["large-e"]
     data = generate("reverse", cfg, cfg.tile_size * 8, seed=0)
-    result = PairwiseMergeSort(cfg, memo=ConflictMemo()).sort(data)
+    result = PairwiseMergeSort(cfg).sort(data)
     np.testing.assert_array_equal(result.values, np.sort(data))

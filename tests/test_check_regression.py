@@ -190,7 +190,7 @@ class TestDocumentValidation:
             (SCRIPT.parent.parent / "BENCH_simulator.json").read_text()
         )
         assert isinstance(baseline["timings"], dict)
-        assert "sweep_memoized" in baseline["timings"]
+        assert "sweep_exact" in baseline["timings"]
         proc = run_gate(tmp_path, baseline, baseline)
         assert proc.returncode == 0
 

@@ -102,32 +102,6 @@ class TestJsonExport:
         assert any(r["E"] == 15 and r["predicted"] == 225 for r in rows)
 
 
-class TestMemoReporting:
-    def test_simulate_prints_memo_stats(self, capsys):
-        assert (
-            main(["simulate", "--preset", "mgpu-maxwell", "--tiles", "2",
-                  "--input", "worst-case"])
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "memoized scoring:" in out
-        assert "hit rate" in out
-
-    def test_no_memo_flag_disables_reporting(self, capsys):
-        assert (
-            main(["simulate", "--preset", "mgpu-maxwell", "--tiles", "2",
-                  "--input", "worst-case", "--no-memo"])
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "sorted correctly: True" in out
-        assert "memoized scoring:" not in out
-
-    def test_cache_stats_includes_conflict_memo(self, tmp_path, capsys):
-        assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
-        assert "conflict memo (this process):" in capsys.readouterr().out
-
-
 class TestBenchKernels:
     """``bench kernels`` emits record_timing-shaped rows the regression
     gate can consume."""
@@ -372,7 +346,7 @@ class TestEngineFlag:
                 "--input", "worst-case"]
         assert main(argv + ["--engine", "inline-fused"]) == 0
         by_engine = capsys.readouterr().out
-        assert main(argv + ["--scoring", "fused", "--no-memo"]) == 0
+        assert main(argv + ["--scoring", "fused"]) == 0
         by_scoring = capsys.readouterr().out
         assert "sorted correctly: True" in by_engine
         assert by_engine == by_scoring
