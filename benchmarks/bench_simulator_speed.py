@@ -219,6 +219,58 @@ def test_sweep_exact_speed(benchmark):
     )
 
 
+#: ``sweep_sampled`` geometry: sizes of 1..64 tiles around an exact
+#: threshold of 16 tiles, so the curve has exact points, the calibration
+#: size, and synthesized points.
+SAMPLED_SWEEP_TILES = [1 << k for k in range(7)]
+SAMPLED_SWEEP_THRESHOLD_TILES = 16
+
+
+def _sampled_sweep_runner():
+    """A default runner (8 scored blocks per round, ``auto`` scoring) with
+    the exact threshold lowered so the sweep calibrates."""
+    from repro.bench.runner import SweepRunner
+    from repro.gpu.device import get_device
+
+    return SweepRunner(
+        THRUST_MAXWELL,
+        get_device("quadro-m4000"),
+        exact_threshold=THRUST_MAXWELL.tile_size * SAMPLED_SWEEP_THRESHOLD_TILES,
+    )
+
+
+def test_sweep_sampled_speed(benchmark):
+    """The Figs. 4-6 sweep regime on simulated families: sampled sorts up
+    to the calibration size, synthesized points above it. One sort at the
+    calibration size serves both its exact point and the calibration, and
+    every global round argsorts only its scored blocks' windows. The
+    points must equal those of a fresh runner per point."""
+    sizes = [THRUST_MAXWELL.tile_size * t for t in SAMPLED_SWEEP_TILES]
+    inputs = ("random", "conflict-heavy")
+
+    def sweep():
+        runner = _sampled_sweep_runner()
+        return [runner.sweep(name, sizes) for name in inputs]
+
+    points = benchmark.pedantic(sweep, rounds=3, iterations=1, warmup_rounds=1)
+    assert points == [
+        [_sampled_sweep_runner().run_point(name, n) for n in sizes]
+        for name in inputs
+    ]
+    record(
+        f"Harness sampled sweep: {len(inputs)}x{len(sizes)} points, "
+        "calibrated above the exact threshold"
+    )
+    record_timing(
+        "sweep_sampled",
+        **_timing_kwargs(benchmark),
+        sizes=len(sizes),
+        inputs=list(inputs),
+        max_n=max(sizes),
+        exact_threshold=THRUST_MAXWELL.tile_size * SAMPLED_SWEEP_THRESHOLD_TILES,
+    )
+
+
 def test_sweep_analytic_speed(benchmark):
     """The same sweep served by the closed-form engine instead of the
     simulator: identical points, derived in O(rounds) arithmetic per
@@ -298,8 +350,9 @@ def test_sampled_verify_speed(benchmark):
 
     The sort behind it runs on the numpy scoring path (the default
     ``vectorized`` scoring never dispatches to the compiled backend), so
-    this row tracks sampled rounds that sort values and argsort only the
-    pair rows they score.
+    this row tracks sampled rounds that sort values and argsort only what
+    they score: the scored tiles' pair rows in block rounds, the scored
+    blocks' merge windows in global rounds.
     """
     from repro.adversary.permutation import worst_case_permutation
     from repro.adversary.verify import verify_worst_case

@@ -129,8 +129,9 @@ class RoundMask:
     def global_geometry(self, class_id: int, tile: int) -> tuple[np.ndarray, int]:
         """``(local_row, na)`` of one class: the tile-local rank→address map
         and the A-window length — everything the conflict scoring of a
-        global block depends on (the simulator's ``_global_patterns``
-        derives exactly this pair from the traced merge)."""
+        global block depends on (the simulator's
+        ``global_block_windows`` derives exactly this pair from the
+        block's merge window)."""
         if self.kind != "periodic":
             na = tile if class_id else 0
             return np.arange(tile, dtype=np.int64), na

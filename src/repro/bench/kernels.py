@@ -3,19 +3,21 @@
 The gated trajectory rows (``BENCH_simulator.json``) time whole
 simulations; when one of them drifts, the first question is *which kernel
 moved*. This module times the scoring primitives in isolation — the
-row-merge kernel, the per-tile counting kernels of the numpy paths,
-block-round scoring, global-round scoring, and the end-to-end fused exact
-sort — and emits entries in the same shape as
-``benchmarks/conftest.py:record_timing`` (``seconds`` = median, plus
-``min_seconds``/``iqr_seconds`` so noise is distinguishable from drift),
-so the output JSON can be diffed or gated with
+row-merge kernel, the per-tile counting kernels of the numpy paths, the
+numpy global rounds' block windows, block-round scoring, global-round
+scoring, and the end-to-end fused exact sort — and emits entries in the
+same shape as ``benchmarks/conftest.py:record_timing`` (``seconds`` =
+median, plus ``min_seconds``/``iqr_seconds`` so noise is distinguishable
+from drift), so the output JSON can be diffed or gated with
 ``benchmarks/check_regression.py`` exactly like the committed baseline.
 
 Backend behavior: every entry records the active fused backend
 (``native``/``numpy``). ``kernel_merge_pairs`` and ``kernel_sort_fused``
 measure the real code path of whichever backend is live;
 ``kernel_tile_merge_counts``/``kernel_probe_tile_counts`` are numpy on
-both backends (the default vectorized path runs them either way);
+both backends (the default vectorized path runs them either way), as is
+``kernel_global_windows`` (the window searches and window argsorts every
+numpy global round runs in place of full-row argsorts);
 ``kernel_block_scoring``/``kernel_global_scoring`` call the compiled
 round scorers directly and are skipped (not emitted) when the extension
 is unavailable — a missing row is visible in the JSON rather than a
@@ -35,7 +37,7 @@ from repro.inputs.generators import generate
 from repro.mergepath import fused as fused_kernels
 from repro.mergepath.partition import probe_tile_counts
 from repro.sort.config import SortConfig
-from repro.sort.pairwise import PairwiseMergeSort
+from repro.sort.pairwise import PairwiseMergeSort, global_block_windows
 from repro.utils.validation import check_positive_int
 
 __all__ = ["kernel_benchmarks"]
@@ -137,6 +139,19 @@ def kernel_benchmarks(
     for name in ("kernel_tile_merge_counts", "kernel_probe_tile_counts"):
         timings[name].update(tiles_scored=int(scored.size), run=int(run))
 
+    if tiles >= 2:
+        # The numpy global-round merge layer: each scored block's two
+        # window searches plus its window argsort, on the first global
+        # round (pair rows of two tiles).
+        gmat = np.sort(data.reshape(-1, tile), axis=1).reshape(-1, 2 * tile)
+        gscored = np.arange(min(tiles, 8), dtype=np.int64)
+        timings["kernel_global_windows"] = _measure(
+            lambda: global_block_windows(gmat, tile, gscored, tile), repeat
+        )
+        timings["kernel_global_windows"].update(
+            blocks_scored=int(gscored.size), run=int(tile)
+        )
+
     if dmm_fused.native_enabled():
         timings["kernel_block_scoring"] = _measure(
             lambda: fused_kernels.fused_block_reports(
@@ -148,13 +163,10 @@ def kernel_benchmarks(
             tiles_scored=int(scored.size), run=int(run)
         )
         if tiles >= 2:
-            gflat = np.ascontiguousarray(
-                np.sort(data.reshape(-1, tile), axis=1).reshape(-1)
-            )
-            gscored = np.arange(min(tiles, 8), dtype=np.int64)
             timings["kernel_global_scoring"] = _measure(
                 lambda: fused_kernels.fused_global_reports(
-                    gflat, gscored, tile, config.E, config.b, config.w, 0
+                    gmat.reshape(-1), gscored, tile, config.E, config.b,
+                    config.w, 0,
                 ),
                 repeat,
             )

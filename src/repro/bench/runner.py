@@ -13,6 +13,12 @@ sweeps reach ~2.9·10⁸. The runner therefore has two paths:
   identical for the periodic constructed inputs); and round counts /
   global traffic are closed-form in ``N``. Tests verify synthesized and
   exact costs agree at sizes where both are available.
+
+The calibration size is also an exact point of every sweep that crosses
+the threshold, and both need the same instrumented sort: whichever is
+asked for first runs it, and the runner keeps the derived rates and the
+point (not the sort result), so each (runner, input) sorts at that size
+once.
 """
 
 from __future__ import annotations
@@ -140,6 +146,8 @@ class SweepRunner:
     cache: BenchCache | None = None
     instrumented_sorts: int = field(default=0, init=False, repr=False)
     _calibrations: dict = field(default_factory=dict, repr=False)
+    #: Calibration-size exact points, per input, from the calibration sort.
+    _calibration_points: dict = field(default_factory=dict, init=False, repr=False)
     _engine: object = field(default=None, init=False, repr=False)
     _models: dict = field(default_factory=dict, init=False, repr=False)
     _layout: object = field(default=None, init=False, repr=False)
@@ -195,13 +203,17 @@ class SweepRunner:
 
     def _calibration_size(self) -> int:
         """Largest valid exact size (at least two tiles)."""
-        sizes = self.config.valid_sizes(self.exact_threshold)
-        if len(sizes) < 2:
+        n_cal = self._calibration_size_or_none()
+        if n_cal is None:
             raise ValidationError(
                 f"exact_threshold {self.exact_threshold} leaves no valid "
                 f"calibration size for tile {self.config.tile_size}"
             )
-        return sizes[-1]
+        return n_cal
+
+    def _calibration_size_or_none(self) -> int | None:
+        sizes = self.config.valid_sizes(self.exact_threshold)
+        return sizes[-1] if len(sizes) >= 2 else None
 
     # -- the two paths -------------------------------------------------------
 
@@ -212,29 +224,8 @@ class SweepRunner:
         stored point without running any instrumented sort.
         """
         n = self.config.validate_input_size(num_elements)
-        key = None
-        if self.cache is not None:
-            key = bench_cache.point_key(
-                self.config,
-                self.device,
-                padding=self.padding,
-                input_name=input_name,
-                num_elements=n,
-                score_blocks=self.score_blocks,
-                seed=self.seed,
-                exact_threshold=self.exact_threshold,
-                # Explicit analytic scoring is exact at every size, so its
-                # above-threshold points differ from synthesized ones and
-                # must not share their fingerprints. Everywhere the paths
-                # overlap they are bit-identical, so no other scoring mode
-                # enters the key. Non-default mitigations likewise get
-                # their own fingerprints ("none" stays absent so every
-                # pre-existing entry keeps hitting).
-                scoring="analytic" if self.scoring == "analytic" else None,
-                mitigation=(
-                    None if self.mitigation == "none" else self.mitigation
-                ),
-            )
+        key = self._point_key(input_name, n)
+        if key is not None:
             cached = self.cache.get_point(key)
             if cached is not None:
                 return cached
@@ -245,6 +236,44 @@ class SweepRunner:
         if key is not None:
             self.cache.put_point(key, point)
         return point
+
+    def _point_key(self, input_name: str, n: int) -> dict | None:
+        """The cache fingerprint of one point; ``None`` without a cache."""
+        if self.cache is None:
+            return None
+        return bench_cache.point_key(
+            self.config,
+            self.device,
+            padding=self.padding,
+            input_name=input_name,
+            num_elements=n,
+            score_blocks=self.score_blocks,
+            seed=self.seed,
+            exact_threshold=self.exact_threshold,
+            # Explicit analytic scoring is exact at every size, so its
+            # above-threshold points differ from synthesized ones and
+            # must not share their fingerprints. Everywhere the paths
+            # overlap they are bit-identical, so no other scoring mode
+            # enters the key. Non-default mitigations likewise get
+            # their own fingerprints ("none" stays absent so every
+            # pre-existing entry keeps hitting).
+            scoring="analytic" if self.scoring == "analytic" else None,
+            mitigation=None if self.mitigation == "none" else self.mitigation,
+        )
+
+    def _rates_key(self, input_name: str, n_cal: int) -> dict | None:
+        """The cache fingerprint of one calibration; ``None`` without a cache."""
+        if self.cache is None:
+            return None
+        return bench_cache.rates_key(
+            self.config,
+            padding=self.padding,
+            input_name=input_name,
+            calibration_size=n_cal,
+            score_blocks=self.score_blocks,
+            seed=self.seed,
+            mitigation=None if self.mitigation == "none" else self.mitigation,
+        )
 
     def _resolved_scoring(self, input_name: str, n: int) -> str:
         """This point's concrete scoring, via the registry's one router."""
@@ -302,41 +331,67 @@ class SweepRunner:
         ).sort(data, score_blocks=self.score_blocks, seed=self.seed)
 
     def _exact_point(self, input_name: str, n: int) -> BenchPoint:
+        if self.scoring != "analytic" and n == self._calibration_size_or_none():
+            return self._calibration_point(input_name, n)
         result = self._instrumented_sort(input_name, n)
-        cost = result.kernel_cost(self.warps_per_sm)
-        return self._to_point(input_name, n, cost, result.replays_per_element())
+        return self._point_from(input_name, result)
 
     def _synthesized_point(self, input_name: str, n: int) -> BenchPoint:
         rates = self._calibrate(input_name)
         cost, replays_per_element = self._synthesize_cost(n, rates)
         return self._to_point(input_name, n, cost, replays_per_element)
 
+    def _point_from(self, input_name: str, result: SortResult) -> BenchPoint:
+        cost = result.kernel_cost(self.warps_per_sm)
+        return self._to_point(
+            input_name, result.num_elements, cost, result.replays_per_element()
+        )
+
+    def _calibration_point(self, input_name: str, n_cal: int) -> BenchPoint:
+        """The exact point at the calibration size.
+
+        Its instrumented sort is the calibration sort, so one sort serves
+        both — whichever is asked for first runs it and keeps the other.
+        """
+        point = self._calibration_points.get(input_name)
+        if point is None:
+            point = self._calibration_sort(input_name, n_cal)
+        return point
+
     def _calibrate(self, input_name: str) -> CalibratedRates:
         if input_name in self._calibrations:
             return self._calibrations[input_name]
         n_cal = self._calibration_size()
-        key = rates = None
+        key = self._rates_key(input_name, n_cal)
+        rates = None if key is None else self.cache.get_rates(key)
+        if rates is not None:
+            self._calibrations[input_name] = rates
+            return rates
+        point = self._calibration_sort(input_name, n_cal)
+        if key is not None:
+            # The calibration-size point came with the sort; store it as
+            # ``run_point`` would have.
+            self.cache.put_point(self._point_key(input_name, n_cal), point)
+        return self._calibrations[input_name]
+
+    def _calibration_sort(self, input_name: str, n_cal: int) -> BenchPoint:
+        """Run the calibration-size sort; keep its rates and its point.
+
+        Only the derived rates and point outlive the call, never the
+        :class:`SortResult`. The rates go to the cache, if attached, so a
+        later runner's synthesized points run no sort; the point is
+        returned for the caller to store.
+        """
+        result = self._instrumented_sort(input_name, n_cal)
+        rates = self._calibrations.setdefault(
+            input_name, CalibratedRates.from_result(result)
+        )
+        point = self._calibration_points[input_name] = self._point_from(
+            input_name, result
+        )
         if self.cache is not None:
-            key = bench_cache.rates_key(
-                self.config,
-                padding=self.padding,
-                input_name=input_name,
-                calibration_size=n_cal,
-                score_blocks=self.score_blocks,
-                seed=self.seed,
-                mitigation=(
-                    None if self.mitigation == "none" else self.mitigation
-                ),
-            )
-            rates = self.cache.get_rates(key)
-        if rates is None:
-            rates = CalibratedRates.from_result(
-                self._instrumented_sort(input_name, n_cal)
-            )
-            if key is not None:
-                self.cache.put_rates(key, rates)
-        self._calibrations[input_name] = rates
-        return rates
+            self.cache.put_rates(self._rates_key(input_name, n_cal), rates)
+        return point
 
     def _synthesize_cost(
         self, n: int, rates: CalibratedRates

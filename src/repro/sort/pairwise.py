@@ -20,13 +20,15 @@ Structure of a sort of ``N = bE·2^k`` elements:
 
 Implementation notes (why this is fast enough to sweep):
 
-* A merge round is computed for *all* pairs at once with one stable
-  row-wise ``argsort`` — for two sorted halves this reproduces the stable
-  (A-first) merge exactly, and the resulting ``order`` array doubles as the
-  per-rank shared-memory address map (DESIGN.md §5). Sampled rounds sort
-  values and argsort only scored rows: a stable row sort gives the same
-  merged values, and only the pair rows the scored tiles read need an
-  address map (DESIGN.md §12).
+* A merge round is computed for *all* pairs at once by one stable row
+  sort — for two sorted halves this reproduces the stable (A-first) merge
+  exactly. The scored tiles' shared-memory address maps come from stable
+  ``argsort``\\ s (DESIGN.md §5): block rounds argsort the pair rows the
+  scored tiles hold; global rounds argsort only each scored block's
+  ``bE``-element merge window, whose A/B split two merge-path searches
+  find (:func:`global_block_windows`, DESIGN.md §12). Where every pair
+  row is argsorted anyway (the loop oracle, fully scored block rounds),
+  the merged values are gathered through that order instead.
 * Conflict scoring is warp-additive, so all scored blocks of a round are
   counted at once, per tile, by two numpy kernels —
   :func:`~repro.dmm.fused.tile_merge_counts` (merge stage) and
@@ -66,7 +68,12 @@ from repro.utils.bits import ceil_log2
 from repro.utils.rng import as_generator
 from repro.utils.validation import check_no_nan
 
-__all__ = ["PairwiseMergeSort", "RoundStats", "SortResult"]
+__all__ = [
+    "PairwiseMergeSort",
+    "RoundStats",
+    "SortResult",
+    "global_block_windows",
+]
 
 
 @dataclass(frozen=True)
@@ -451,11 +458,13 @@ class PairwiseMergeSort:
             scored = _choose_blocks(num_pairs * per, score_blocks, rng)
 
         used_scratch = False
-        if (
+        native = (
             self.scoring == "fused"
             and self.mitigation.native_padding is not None
             and fused_kernels.native_round_ready(arr)
-        ):
+        )
+        order = merged = None
+        if native:
             # Native fused rounds never materialize the order array: the
             # merge is a row-wise two-pointer pass and the scorers
             # reconstruct each scored tile's interleaving locally.
@@ -464,34 +473,34 @@ class PairwiseMergeSort:
             merged = fused_kernels.merge_pairs(
                 mat, run, scratch.reshape(num_pairs, pair_width)
             )
-            order = None
             used_scratch = True
-        else:
+        elif self.scoring == "loop":
             # Stable argsort of [A | B] rows == stable (A-first) merge:
             # equal keys keep index order, and A occupies the lower indices.
+            # The oracle indexes every pair row's ``order``.
+            order = np.argsort(mat, axis=1, kind="stable")
+            merged = _gather_rows(arr, order)
+        elif block_round:
             # ``order`` is needed only for the pair rows the scored tiles
-            # read (the loop oracle indexes every row).
-            if block_round:
-                rows = (scored[:, None] * per + np.arange(per)).reshape(-1)
-            else:
-                rows = np.unique(scored // per)
-            if self.scoring == "loop" or rows.size == num_pairs:
+            # read. Global rounds need none: each scored block argsorts
+            # just its own window (:func:`global_block_windows`).
+            rows = (scored[:, None] * per + np.arange(per)).reshape(-1)
+            if rows.size == num_pairs:
                 order = np.argsort(mat, axis=1, kind="stable")
                 merged = _gather_rows(arr, order)
             else:
                 order = np.argsort(mat[rows], axis=1, kind="stable")
-                merged = None
 
         if block_round:
             self._score_block_round(arr, order, run, result, scored)
         else:
-            self._score_global_round(mat, order, run, result, scored)
+            self._score_global_round(mat, order, run, result, scored, native)
 
         if merged is None:
-            # Sampled round: only the scored rows were argsorted. A stable
-            # row sort yields exactly the values the stable argsort would
-            # gather (ties and signed zeros included); it runs in place,
-            # once scoring no longer reads the pre-merge values.
+            # A stable row sort yields exactly the values the stable
+            # argsort would gather (ties and signed zeros included); it
+            # runs in place, once scoring no longer reads the pre-merge
+            # values.
             mat.sort(axis=1, kind="stable")
             merged = mat
         return merged.reshape(-1), used_scratch
@@ -668,14 +677,14 @@ class PairwiseMergeSort:
         run: int,
         result: SortResult,
         scored: np.ndarray,
+        native: bool,
     ) -> None:
         """Score a global round: each block merges a ``bE`` output quantile.
 
-        ``order`` holds the distinct pair rows of the ``scored`` blocks, in
-        ascending order (every row for the loop oracle). ``order is None``
-        marks a native fused round: the compiled backend derives each
-        scored block's A/B window split by merge-path binary search
-        instead of reading the order array.
+        ``order`` holds every pair row's merge order; only the loop oracle
+        reads it. The other paths derive each scored block's A/B window
+        split by merge-path binary search — in the compiled backend when
+        ``native``, else in :func:`global_block_windows`.
         """
         cfg = self.config
         num_pairs, pair_width = mat.shape
@@ -687,13 +696,13 @@ class PairwiseMergeSort:
             merge_report, part_report = self._global_reports_loop(
                 mat, order, run, scored, blocks_per_pair
             )
-        elif order is None:
+        elif native:
             merge_report, part_report = fused_kernels.fused_global_reports(
                 mat.reshape(-1), scored, run, cfg.E, cfg.b, cfg.w, self.padding
             )
         else:
-            local, pairs, a_lo, b_lo, na = self._global_patterns(
-                order, run, scored, blocks_per_pair
+            local, pairs, a_lo, b_lo, na = global_block_windows(
+                mat, run, scored, cfg.tile_size
             )
             # Equal global blocks must also share their A-window length:
             # two blocks can share the permutation while splitting it
@@ -728,51 +737,6 @@ class PairwiseMergeSort:
                 blocks_scored=len(scored),
             )
         )
-
-    def _global_patterns(
-        self,
-        order: np.ndarray,
-        run: int,
-        scored: np.ndarray,
-        blocks_per_pair: int,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Per-scored-block rank→address patterns and window geometry.
-
-        ``order`` holds the distinct pair rows of ``scored``, ascending.
-        Returns ``(local, pairs, a_lo, b_lo, na)``: the ``(blocks, bE)``
-        tile-local address map plus each block's owning pair and A/B window
-        offsets/length.
-        """
-        tile = self.config.tile_size
-
-        pairs = scored // blocks_per_pair
-        block_in_pair = scored % blocks_per_pair
-        r_lo = block_in_pair * tile
-        # Row i of ``order`` is the i-th distinct scored pair.
-        pos = np.searchsorted(np.unique(pairs), pairs)
-
-        # Per-row prefix counts of A-sourced ranks, for window arithmetic.
-        # Blocks start at tile boundaries, so tile-granular counts suffice —
-        # one reduction over the scored rows instead of a running sum.
-        # Row i·blocks_per_pair + k of ``by_block`` is block k of row i.
-        by_block = order.reshape(-1, tile)
-        tile_counts = (by_block < run).sum(axis=1, dtype=np.int64).reshape(
-            -1, blocks_per_pair
-        )
-        prefix = np.zeros(
-            (tile_counts.shape[0], blocks_per_pair + 1), dtype=np.int64
-        )
-        np.cumsum(tile_counts, axis=1, out=prefix[:, 1:])
-
-        s = by_block[pos * blocks_per_pair + block_in_pair]  # (blocks, tile)
-        a_lo = prefix[pos, block_in_pair]
-        na = tile_counts[pos, block_in_pair]
-        b_lo = r_lo - a_lo
-        # Tile layout: each block's A window at [0, na), B at [na, bE).
-        local = s + np.where(
-            s < run, -a_lo[:, None], (na - run - b_lo)[:, None]
-        )
-        return local, pairs, a_lo, b_lo, na
 
     def _global_probe_counts(
         self,
@@ -948,6 +912,54 @@ def _choose_blocks(
     return np.sort(rng.choice(total, size=score_blocks, replace=False)).astype(
         np.int64
     )
+
+
+def global_block_windows(
+    mat: np.ndarray, run: int, blocks: np.ndarray, tile_size: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-block rank→address patterns and window geometry of a global round.
+
+    ``mat`` holds the round's pre-merge ``[A | B]`` pair rows (runs of
+    ``run``); global block ``k`` merges output ranks ``[r_lo, r_lo + bE)``
+    of pair row ``k // blocks_per_pair``. Two merge-path searches per
+    block, at diagonals ``r_lo`` and ``r_lo + bE``, split those ranks
+    between an A window ``[a_lo, a_lo + na)`` and a B window
+    ``[b_lo, b_lo + bE − na)``. Laid out as in the tile, A first, the
+    window's stable argsort is the stable (A-first) merge of the two, so
+    it is the block's tile-local address map — no pair row is argsorted
+    whole (DESIGN.md §12).
+
+    Returns ``(local, pairs, a_lo, b_lo, na)``: the ``(blocks, bE)``
+    address map plus each block's pair row and A/B window offsets and
+    A-window length.
+    """
+    pair_width = mat.shape[1]
+    blocks_per_pair = pair_width // tile_size
+    pairs = blocks // blocks_per_pair
+    r_lo = blocks % blocks_per_pair * tile_size
+    a_base = np.repeat(pairs * pair_width, 2)
+    halves = np.full(a_base.size, run, dtype=np.int64)
+    flat = mat.reshape(-1)
+    split, _ = partition_many_with_trace(
+        flat,
+        a_base=a_base,
+        a_len=halves,
+        b_base=a_base + run,
+        b_len=halves,
+        diagonals=np.stack([r_lo, r_lo + tile_size], axis=1).reshape(-1),
+    )
+    a_lo = split[0::2]
+    na = split[1::2] - a_lo
+    b_lo = r_lo - a_lo
+    # Flat index of window slot j: A[a_lo + j] for j < na, else
+    # B[b_lo + j − na].
+    slot = np.arange(tile_size, dtype=np.int64)
+    a_start = pairs * pair_width + a_lo
+    b_shift = run + b_lo - na - a_lo
+    src = a_start[:, None] + slot
+    src += np.where(slot >= na[:, None], b_shift[:, None], 0)
+    local = np.argsort(flat[src], axis=1, kind="stable")
+    return local, pairs, a_lo, b_lo, na
 
 
 def _has_both_zeros(arr: np.ndarray) -> bool:

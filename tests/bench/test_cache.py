@@ -138,10 +138,12 @@ class TestRoundTrip:
                                     runner.config.tile_size * 16])
         cache = runner.cache
         stats = cache.stats()
-        assert stats.point_entries == 2
+        # The synthesized point's calibration sort also stores the
+        # calibration-size exact point.
+        assert stats.point_entries == 3
         assert stats.rate_entries == 1  # one synthesized point -> one calibration
         assert stats.total_bytes > 0
-        assert cache.clear() == 3
+        assert cache.clear() == 4
         assert cache.stats().point_entries == 0
         assert cache.stats().total_bytes == 0
 
@@ -188,6 +190,40 @@ class TestRunnerIntegration:
         second = runner_with_cache(tmp_path)
         second.run_point("worst-case", n_synth * 2)
         assert second.instrumented_sorts == 0
+
+    def test_calibration_size_point_stores_the_calibration(self, tmp_path):
+        """The exact point at the calibration size is the calibration sort:
+        it stores the rates too, so a warm runner synthesizes for free."""
+        cfg = small_config()
+        n_cal = cfg.tile_size * 8
+        cold = runner_with_cache(tmp_path)
+        cold.run_point("random", n_cal)
+        assert cold.instrumented_sorts == 1
+        assert cold.cache.stats().rate_entries == 1
+
+        warm = runner_with_cache(tmp_path)
+        point = warm.run_point("random", n_cal * 4)
+        assert warm.instrumented_sorts == 0
+        assert point == runner_with_cache(tmp_path / "fresh").run_point(
+            "random", n_cal * 4
+        )
+
+    def test_calibration_stores_the_calibration_size_point(self, tmp_path):
+        cfg = small_config()
+        n_cal = cfg.tile_size * 8
+        cold = runner_with_cache(tmp_path)
+        cold.run_point("random", n_cal * 4)
+        assert cold.instrumented_sorts == 1
+        # No second sort at the calibration size.
+        exact = cold.run_point("random", n_cal)
+        assert cold.instrumented_sorts == 1
+
+        warm = runner_with_cache(tmp_path)
+        assert warm.run_point("random", n_cal) == exact
+        assert warm.instrumented_sorts == 0
+        assert exact == runner_with_cache(tmp_path / "fresh").run_point(
+            "random", n_cal
+        )
 
 
 class TestCorruptionRecovery:
@@ -263,11 +299,12 @@ class TestBenchPointSerialization:
 
 
 class TestPrune:
-    def fill(self, tmp_path, sizes=(2, 4, 8)):
+    def fill(self, tmp_path, sizes=(1, 2, 4)):
         """Distinct entries with strictly increasing mtimes (oldest first).
 
-        All sizes stay at or below the exact threshold so no calibration
-        rates entry appears alongside the point entries.
+        All sizes stay below the calibration size (the largest exact
+        size, whose sort also stores calibration rates) so no rates entry
+        appears alongside the point entries.
         """
         runner = runner_with_cache(tmp_path)
         cache = runner.cache

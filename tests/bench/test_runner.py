@@ -136,3 +136,99 @@ class TestCalibratedRates:
         rates = CalibratedRates.from_result(result)
         assert rates.base_shared_cycles > 0
         assert rates.global_shared_cycles > 0
+
+
+class TestCalibrationSharing:
+    """At the calibration size one instrumented sort serves both the exact
+    point and the calibration, whichever is asked for first."""
+
+    THRESHOLD_TILES = 8
+
+    def runner(self, **kwargs):
+        return small_runner(
+            exact_threshold=small_runner().config.tile_size * self.THRESHOLD_TILES,
+            **kwargs,
+        )
+
+    @staticmethod
+    def record_sorts(monkeypatch, runner):
+        sizes = []
+        original = runner._instrumented_sort
+
+        def recording(input_name, n):
+            sizes.append((input_name, n))
+            return original(input_name, n)
+
+        monkeypatch.setattr(runner, "_instrumented_sort", recording)
+        return sizes
+
+    @pytest.mark.parametrize("input_name", ["random", "few-unique"])
+    def test_ascending_sweep_sorts_calibration_size_once(
+        self, monkeypatch, input_name
+    ):
+        runner = self.runner()
+        tile = runner.config.tile_size
+        sizes = [tile * t for t in (2, 4, 8, 16, 32)]
+        sorts = self.record_sorts(monkeypatch, runner)
+        points = runner.sweep(input_name, sizes)
+        n_cal = tile * self.THRESHOLD_TILES
+        assert sorts == [(input_name, tile * t) for t in (2, 4, 8)]
+        assert runner._calibration_size() == n_cal
+        assert points == [self.runner().run_point(input_name, n) for n in sizes]
+
+    def test_synthesized_point_first(self, monkeypatch):
+        runner = self.runner()
+        tile = runner.config.tile_size
+        n_cal = tile * self.THRESHOLD_TILES
+        sorts = self.record_sorts(monkeypatch, runner)
+        synthesized = runner.run_point("random", n_cal * 4)
+        exact = runner.run_point("random", n_cal)
+        assert sorts == [("random", n_cal)]
+        assert synthesized == self.runner().run_point("random", n_cal * 4)
+        assert exact == self.runner().run_point("random", n_cal)
+
+    def test_each_input_calibrates_separately(self, monkeypatch):
+        runner = self.runner()
+        n_cal = runner.config.tile_size * self.THRESHOLD_TILES
+        sorts = self.record_sorts(monkeypatch, runner)
+        for name in ("random", "few-unique"):
+            runner.run_point(name, n_cal)
+            runner.run_point(name, n_cal * 2)
+        assert sorts == [("random", n_cal), ("few-unique", n_cal)]
+
+    def test_shared_point_equals_unshared_sort(self):
+        """The kept point is exactly what a separate exact sort gives."""
+        runner = self.runner()
+        cfg = runner.config
+        n_cal = cfg.tile_size * self.THRESHOLD_TILES
+        runner.run_point("random", n_cal * 2)  # calibration first
+        data = generate("random", cfg, n_cal, seed=0)
+        result = PairwiseMergeSort(cfg).sort(data, score_blocks=4, seed=0)
+        point = runner.run_point("random", n_cal)
+        assert point.shared_cycles == result.kernel_cost(
+            runner.warps_per_sm
+        ).shared_cycles
+        assert point.replays_per_element == result.replays_per_element()
+        assert runner._calibrations["random"] == CalibratedRates.from_result(
+            result
+        )
+
+    def test_analytic_routed_inputs_unchanged(self, monkeypatch):
+        """Default runners send the constructed families to the closed
+        form; sharing changes none of their points and simulates none."""
+        import repro.bench.runner as runner_module
+
+        runner = self.runner(score_blocks=None)
+        tile = runner.config.tile_size
+        sizes = [tile * t for t in (2, 8, 32)]
+        expected = {
+            name: [self.runner(score_blocks=None).run_point(name, n) for n in sizes]
+            for name in ("worst-case", "sorted")
+        }
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("analytic-routed point was simulated")
+
+        monkeypatch.setattr(runner_module, "PairwiseMergeSort", no_simulation)
+        for name, points in expected.items():
+            assert runner.sweep(name, sizes) == points

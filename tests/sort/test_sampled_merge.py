@@ -1,12 +1,14 @@
 """Sampled merge rounds against the loop oracle.
 
-A sampled round (``score_blocks`` below the round's tile or block count)
+A sampled block round (``score_blocks`` below the round's tile count)
 takes its merged values from a stable row sort and argsorts only the
-pair rows its scored tiles or blocks read; a round whose scored tiles
-cover every pair row argsorts every row. Either way the result must
-match the loop oracle — which always argsorts every row — in values,
-counters and per-step costs, for every sample size from one tile up to
-all of them.
+pair rows its scored tiles read; a block round whose scored tiles cover
+every pair row argsorts every row. Global rounds never argsort a whole
+pair row: each scored block argsorts its own merge window, and the
+merged values come from the row sort. Either way the result must match
+the loop oracle — which always argsorts every row — in values, counters
+and per-step costs, for every sample size from one tile up to all of
+them.
 """
 
 import numpy as np
@@ -36,28 +38,28 @@ def test_matches_loop_oracle(monkeypatch, scoring, name, score_blocks):
     oracle = _sort("loop", data, score_blocks)
     assert {r.kind for r in oracle.rounds} >= {"block", "global"}
 
-    full_rounds = []
+    gathered = []
     original = pairwise_mod._gather_rows
 
     def counting(flat, order):
-        full_rounds.append(order.shape)
+        gathered.append(order.shape)
         return original(flat, order)
 
     monkeypatch.setattr(pairwise_mod, "_gather_rows", counting)
     result = _sort(scoring, data, score_blocks)
     assert_results_identical(result, oracle)
 
-    merge_rounds = sum(r.kind != "registers" for r in oracle.rounds)
     if scoring == "fused" and pairwise_mod.fused_kernels.native_round_ready(data):
         # The compiled merge never builds an order array.
-        assert full_rounds == []
-    elif score_blocks == TILES:
-        # Every tile scored: every round argsorts every row.
-        assert len(full_rounds) == merge_rounds
+        assert gathered == []
     else:
-        # Sampled rounds skip the full argsort, except the global rounds
-        # whose scored blocks already span every pair row.
-        assert len(full_rounds) < merge_rounds
+        # Only block rounds (pair rows no wider than a tile) ever gather a
+        # full-row order; global rounds argsort just the scored blocks'
+        # windows and take merged values from the in-place row sort.
+        assert all(width <= CONFIG.tile_size for _, width in gathered)
+        if score_blocks == TILES:
+            block_rounds = sum(r.kind == "block" for r in oracle.rounds)
+            assert len(gathered) == block_rounds
 
 
 class TestSignedZeros:

@@ -116,9 +116,11 @@ class TestBenchKernels:
         out = capsys.readouterr().out
         assert "kernel_merge_pairs" in out
         assert "kernel_sort_fused" in out
-        # The counting kernels run on both backends, so their rows always do.
+        # The counting kernels and the global-round windows run on both
+        # backends, so their rows always do.
         assert "kernel_tile_merge_counts" in out
         assert "kernel_probe_tile_counts" in out
+        assert "kernel_global_windows" in out
         import json
 
         document = json.loads(target.read_text())
@@ -152,7 +154,8 @@ class TestBenchKernels:
         proc = subprocess.run(
             [sys.executable, str(gate), str(target), str(target),
              "--require", "kernel_merge_pairs,kernel_tile_merge_counts,"
-             "kernel_probe_tile_counts,kernel_sort_fused"],
+             "kernel_probe_tile_counts,kernel_global_windows,"
+             "kernel_sort_fused"],
             capture_output=True,
             text=True,
         )
