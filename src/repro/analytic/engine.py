@@ -14,13 +14,12 @@ representative tile per *pattern class* instead of to every block:
 * each class's merge stage is the mask's rank→address row scored by the
   same :func:`~repro.dmm.fused.tile_merge_counts` kernel the simulator
   uses for each run of equal tiles;
-* the β₁ partition probes are replayed against a *rank surrogate* — the
-  tile's merge ranks as values — through the same
-  :func:`~repro.mergepath.partition.probe_tile_counts` kernel. The
-  bisection comparisons ``A[i] ≤ B[j]`` of a stable merge hold exactly
-  when ``A[i]`` precedes ``B[j]`` in the merged order, which the rank
-  surrogate reproduces, so the probe sequence (and its counts) is
-  identical to the real data's;
+* the β₁ partition probes go through the simulator's own
+  :func:`~repro.sort.pairwise.block_probe_counts` /
+  :func:`~repro.sort.pairwise.global_probe_counts`, which replay each
+  thread's bisection from the split its class ``order``/``local`` map
+  fixes — the same replay the simulator runs, so the probe sequence
+  (and its counts) is identical to the real data's;
 * the round total folds class reports with
   :meth:`~repro.dmm.conflicts.ConflictReport.scaled` /
   :meth:`~repro.dmm.conflicts.ConflictReport.merged` in block order —
@@ -49,11 +48,15 @@ from repro.dmm.trace import AccessTrace
 from repro.errors import ValidationError
 from repro.gpu.global_memory import CoalescingModel, GlobalTraffic
 from repro.mergepath.kernels import stack_warp_steps, thread_rank_addresses
-from repro.mergepath.partition import probe_tile_counts
 from repro.mitigation.padding import PaddingMitigation, pad_addresses
 from repro.sort.config import SortConfig
 from repro.sort.networks import oddeven_network
-from repro.sort.pairwise import RoundStats, SortResult
+from repro.sort.pairwise import (
+    RoundStats,
+    SortResult,
+    block_probe_counts,
+    global_probe_counts,
+)
 from repro.utils.bits import ceil_log2
 from repro.utils.rng import as_generator
 from repro.utils.validation import check_nonnegative_int
@@ -287,57 +290,18 @@ class AnalyticEngine:
         cfg = self.config
         pair_width = 2 * run
         pairs_per_tile = cfg.tile_size // pair_width
-        order = mask.block_order(run)
-        pair_bases = (
-            np.arange(pairs_per_tile, dtype=np.int64)[:, None] * pair_width
-        )
-        row = (order[None, :] + pair_bases).reshape(cfg.tile_size)
-
-        # Rank surrogate: position r of the pair holds its merge rank, so
-        # the bisection comparisons (A[i] <= B[j] iff A[i] precedes B[j])
-        # replay the real probe sequence.
-        ranks = np.empty(pair_width, dtype=np.int64)
-        ranks[order] = np.arange(pair_width, dtype=np.int64)
-        surrogate = np.tile(ranks, pairs_per_tile)
-
-        t_ranks = np.arange(cfg.b, dtype=np.int64) * cfg.E
-        local_base = (t_ranks // pair_width) * pair_width
-        lens = np.full(cfg.b, run, dtype=np.int64)
-        probe_counts = probe_tile_counts(
-            surrogate,
-            a_base=local_base,
-            a_len=lens,
-            b_base=local_base + run,
-            b_len=lens,
-            diagonals=t_ranks % pair_width,
-            trace_a_base=local_base,
-            trace_b_base=local_base + run,
-            num_groups=1,
-            warp_size=cfg.w,
-            layout=self._layout,
-        )
-        return self._tile_reports(row, probe_counts)
+        order = np.tile(mask.block_order(run), pairs_per_tile)
+        pair_bases = np.arange(0, cfg.tile_size, pair_width).repeat(pair_width)
+        probe_counts = block_probe_counts(order[None, :], run, cfg, self._layout)
+        return self._tile_reports(order + pair_bases, probe_counts)
 
     def _score_global_class(
         self, local: np.ndarray, na: int
     ) -> tuple[ConflictReport, ConflictReport]:
         """Representative block of one global-round phase class."""
-        cfg = self.config
-        tile = cfg.tile_size
-        surrogate = np.empty(tile, dtype=np.int64)
-        surrogate[local] = np.arange(tile, dtype=np.int64)
-        probe_counts = probe_tile_counts(
-            surrogate,
-            a_base=np.zeros(cfg.b, dtype=np.int64),
-            a_len=np.full(cfg.b, na, dtype=np.int64),
-            b_base=np.full(cfg.b, na, dtype=np.int64),
-            b_len=np.full(cfg.b, tile - na, dtype=np.int64),
-            diagonals=np.arange(cfg.b, dtype=np.int64) * cfg.E,
-            trace_a_base=np.zeros(cfg.b, dtype=np.int64),
-            trace_b_base=np.full(cfg.b, na, dtype=np.int64),
-            num_groups=1,
-            warp_size=cfg.w,
-            layout=self._layout,
+        probe_counts = global_probe_counts(
+            local[None, :], np.array([na], dtype=np.int64), self.config,
+            self._layout,
         )
         return self._tile_reports(local, probe_counts)
 

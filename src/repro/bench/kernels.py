@@ -15,7 +15,9 @@ Backend behavior: every entry records the active fused backend
 (``native``/``numpy``). ``kernel_merge_pairs`` and ``kernel_sort_fused``
 measure the real code path of whichever backend is live;
 ``kernel_tile_merge_counts``/``kernel_probe_tile_counts`` are numpy on
-both backends (the default vectorized path runs them either way), as is
+both backends (the default vectorized path runs them either way; the
+probe kernel replays the searches from the splits the merge order fixes,
+as the sorter does), as is
 ``kernel_global_windows`` (the window searches and window argsorts every
 numpy global round runs in place of full-row argsorts);
 ``kernel_block_scoring``/``kernel_global_scoring`` call the compiled
@@ -35,7 +37,7 @@ import numpy as np
 from repro.dmm import fused as dmm_fused
 from repro.inputs.generators import generate
 from repro.mergepath import fused as fused_kernels
-from repro.mergepath.partition import probe_tile_counts
+from repro.mergepath.partition import prefix_splits, probe_tile_counts
 from repro.sort.config import SortConfig
 from repro.sort.pairwise import PairwiseMergeSort, global_block_windows
 from repro.utils.validation import check_positive_int
@@ -115,26 +117,24 @@ def kernel_benchmarks(
         lambda: dmm_fused.tile_merge_counts(addr_by_rank, config.E, config.w),
         repeat,
     )
-    lanes = scored.size * config.b
-    a_base = np.repeat(scored * tile, config.b)
+    # β₁ replay from the splits the round's merge order fixes (each tile
+    # is one pair, so the order row is the tile's rank→address map).
+    diagonals = np.arange(config.b, dtype=np.int64) * config.E
+    splits = prefix_splits(addr_by_rank < run, diagonals).reshape(-1)
+    lanes = splits.size
     local = np.zeros(lanes, dtype=np.int64)
     halves = np.full(lanes, run, dtype=np.int64)
     probe_args = dict(
-        a_base=a_base,
         a_len=halves,
-        b_base=a_base + run,
         b_len=halves,
-        diagonals=np.tile(
-            np.arange(config.b, dtype=np.int64) * config.E, scored.size
-        ),
+        diagonals=np.tile(diagonals, scored.size),
         trace_a_base=local,
         trace_b_base=local + run,
         num_groups=scored.size,
         warp_size=config.w,
     )
-    flat_pre = np.ascontiguousarray(mat.reshape(-1))
     timings["kernel_probe_tile_counts"] = _measure(
-        lambda: probe_tile_counts(flat_pre, **probe_args), repeat
+        lambda: probe_tile_counts(splits, **probe_args), repeat
     )
     for name in ("kernel_tile_merge_counts", "kernel_probe_tile_counts"):
         timings[name].update(tiles_scored=int(scored.size), run=int(run))
@@ -153,6 +153,7 @@ def kernel_benchmarks(
         )
 
     if dmm_fused.native_enabled():
+        flat_pre = np.ascontiguousarray(mat.reshape(-1))
         timings["kernel_block_scoring"] = _measure(
             lambda: fused_kernels.fused_block_reports(
                 flat_pre, scored, run, config.E, config.b, config.w, 0

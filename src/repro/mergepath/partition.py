@@ -5,13 +5,18 @@ the merge-path split point is the unique ``i`` such that the first ``d``
 elements of the stable merge consist of ``A[:i]`` and ``B[:d−i]``. Stability
 follows Thrust: on equal keys, ``A`` elements come first.
 
-Two entry points:
+Entry points:
 
 * :func:`merge_path_search` — one diagonal, pure Python ints, the reference
   implementation the property tests check everything against;
-* :func:`partition_with_trace` — all threads' diagonals at once, vectorized,
-  recording every probe address so the partition stage's bank conflicts
-  (the paper's ``β₁``) can be scored.
+* :func:`partition_with_trace` / :func:`partition_many_with_trace` — many
+  diagonals at once, vectorized, reading keys; optionally recording every
+  probe address so the partition stage's bank conflicts (the paper's
+  ``β₁``) can be scored by the loop oracle;
+* :func:`probe_tile_counts` — the β₁ conflict counts of many searches whose
+  splits are already known (:func:`prefix_splits` reads them off a merge
+  order). The bisection predicate is monotone with its threshold at the
+  split, so the searches are replayed by integer compare, without keys.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ __all__ = [
     "partition_many_with_trace",
     "partition_with_trace",
     "PROBE_TABLE_CAP",
+    "prefix_splits",
     "probe_tile_counts",
 ]
 
@@ -109,7 +115,6 @@ def partition_many_with_trace(
     diagonals: np.ndarray,
     trace_a_base: np.ndarray | None = None,
     trace_b_base: np.ndarray | None = None,
-    visit=None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Many independent merge-path searches over windows of one flat buffer.
 
@@ -120,25 +125,20 @@ def partition_many_with_trace(
     sub-warp merge groups and every thread bisects simultaneously in
     lock-step.
 
-    ``trace_a_base`` / ``trace_b_base`` translate probe indices into the
-    *addresses* recorded in the trace (tile-local shared-memory addresses,
-    which differ from the flat-buffer indices when the trace is scored
-    against a per-tile address space); they default to ``a_base``/``b_base``.
-
-    ``visit``, if given, is called once per bisection iteration as
-    ``visit(lanes, a_addr, b_addr)`` — the still-searching lane indices
-    (ascending) and their ``A``/``B`` probe addresses — instead of
-    recording the dense probe matrix (:func:`probe_tile_counts` counts
-    conflicts this way).
+    ``trace_a_base`` / ``trace_b_base`` ask for the probe trace: they
+    translate probe indices into the *addresses* recorded (tile-local
+    shared-memory addresses, which differ from the flat-buffer indices
+    when the trace is scored against a per-tile address space). Without
+    them only the splits are computed.
 
     Returns
     -------
     (a_split, dense_steps):
         Per-lane ``A`` split counts, and the dense ``(steps, lanes)`` probe
         address matrix (``NO_ACCESS`` where a lane's search had converged;
-        ``None`` with ``visit``). Each bisection iteration contributes two
-        steps (the ``A`` probe and the ``B`` probe — separate load
-        instructions).
+        ``None`` when no trace bases were given). Each bisection iteration
+        contributes two steps (the ``A`` probe and the ``B`` probe —
+        separate load instructions).
     """
     values = np.asarray(values)
     a_base = np.asarray(a_base, dtype=np.int64)
@@ -146,25 +146,24 @@ def partition_many_with_trace(
     b_base = np.asarray(b_base, dtype=np.int64)
     b_len = np.asarray(b_len, dtype=np.int64)
     diagonals = np.asarray(diagonals, dtype=np.int64)
-    if trace_a_base is None:
-        trace_a_base = a_base
-    if trace_b_base is None:
-        trace_b_base = b_base
-    trace_a_base = np.asarray(trace_a_base, dtype=np.int64)
-    trace_b_base = np.asarray(trace_b_base, dtype=np.int64)
-
+    record = trace_a_base is not None or trace_b_base is not None
+    if record:
+        trace_a_base = np.asarray(
+            a_base if trace_a_base is None else trace_a_base, dtype=np.int64
+        )
+        trace_b_base = np.asarray(
+            b_base if trace_b_base is None else trace_b_base, dtype=np.int64
+        )
     lanes = diagonals.size
-    shapes = {
-        a_base.shape, a_len.shape, b_base.shape, b_len.shape,
-        diagonals.shape, trace_a_base.shape, trace_b_base.shape,
-    }
+    shapes = {a_base.shape, a_len.shape, b_base.shape, b_len.shape, diagonals.shape}
+    if record:
+        shapes |= {trace_a_base.shape, trace_b_base.shape}
     if shapes != {(lanes,)}:
         raise ValidationError("all per-lane arrays must share one 1-D shape")
-    if np.any(diagonals < 0) or np.any(diagonals > a_len + b_len):
-        raise ValidationError("diagonals out of range [0, |A| + |B|]")
-
     lo = np.maximum(0, diagonals - b_len)
     hi = np.minimum(diagonals, a_len)
+    if (lo > hi).any():
+        raise ValidationError("diagonals out of range [0, |A| + |B|]")
 
     # A lane's bisection interval of span s converges in at most
     # bit_length(s) iterations (two probe steps each); preallocating the
@@ -173,38 +172,65 @@ def partition_many_with_trace(
     # lanes, so late iterations (most lanes already converged) pay
     # neither full-width passes nor per-iteration gathers.
     dense = None
-    if visit is None:
+    if record:
         max_span = int((hi - lo).max()) if lanes else 0
         dense = np.full(
             (2 * max_span.bit_length(), lanes), NO_ACCESS, dtype=np.int64
         )
     row = 0
-    idx = np.nonzero(lo < hi)[0]
-    l, h, d = lo[idx], hi[idx], diagonals[idx]
-    a_at, b_at = a_base[idx], b_base[idx]
-    trace_a, trace_b = trace_a_base[idx], trace_b_base[idx]
+    # The bisection runs on absolute buffer positions: for a lane with A
+    # base ``a``, ((a + l) + (a + h)) >> 1 == a + ((l + h) >> 1), and the
+    # B probe ``b_base + d − mid − 1`` is ``b_mirror − (a + mid)``.
+    split = lo + a_base
+    idx = np.flatnonzero(lo < hi)
+    a_at = a_base[idx]
+    l, h = split[idx], hi[idx] + a_at
+    b_mirror = b_base[idx] + diagonals[idx] - 1 + a_at
+    if record:
+        trace_a = trace_a_base[idx] - a_at
+        trace_b = trace_b_base[idx] + diagonals[idx] - 1 + a_at
     while idx.size:
         mid = (l + h) >> 1
-        b_probe = d - mid - 1
-
-        if visit is None:
+        if record:
             dense[row, idx] = trace_a + mid
-            dense[row + 1, idx] = trace_b + b_probe
-        else:
-            visit(idx, trace_a + mid, trace_b + b_probe)
-        row += 2
-
-        take_a = values[a_at + mid] <= values[b_at + b_probe]
-        l = np.where(take_a, mid + 1, l)
-        h = np.where(take_a, h, mid)
+            dense[row + 1, idx] = trace_b - mid
+            row += 2
+        # A[mid] > B[d − mid − 1] puts the split at or left of mid, else
+        # right of it (ties go to A, the stable merge's order).
+        take_b = values.take(mid) > values.take(b_mirror - mid)
+        np.copyto(h, mid, where=take_b)
+        mid += 1
+        np.copyto(l, mid, where=~take_b)
         searching = l < h
-        if not searching.all():
-            lo[idx[~searching]] = l[~searching]
-            idx, l, h, d = idx[searching], l[searching], h[searching], d[searching]
-            a_at, b_at = a_at[searching], b_at[searching]
-            trace_a, trace_b = trace_a[searching], trace_b[searching]
+        if np.count_nonzero(searching) < idx.size:
+            split[idx[~searching]] = l[~searching]
+            idx, l, h = idx[searching], l[searching], h[searching]
+            b_mirror = b_mirror[searching]
+            if record:
+                trace_a, trace_b = trace_a[searching], trace_b[searching]
 
-    return lo, None if dense is None else dense[:row]
+    return split - a_base, None if dense is None else dense[:row]
+
+
+def prefix_splits(
+    from_a: np.ndarray, diagonals: np.ndarray, starts: np.ndarray | None = None
+) -> np.ndarray:
+    """Merge-path A-splits read off known merge orders, with no search.
+
+    Row ``g`` of the boolean ``from_a`` marks which output ranks of a
+    stable merge came from ``A``. Lane ``(g, t)`` merges the ranks from
+    ``starts[t]`` on (0 by default), so its split at rank
+    ``diagonals[t]`` is the number of ``A``-sourced ranks in
+    ``[starts[t], diagonals[t])`` of row ``g``. Returns the
+    ``(rows, lanes)`` splits.
+    """
+    rows, width = from_a.shape
+    prefix = np.zeros((rows, width + 1), dtype=np.int64)
+    np.cumsum(from_a, axis=1, out=prefix[:, 1:])
+    splits = prefix[:, diagonals]
+    if starts is not None:
+        splits -= prefix[:, starts]
+    return splits
 
 
 #: Largest ``(warp-step, bank)`` count table one counting pass may fill
@@ -216,10 +242,8 @@ PROBE_TABLE_CAP = 1 << 15
 
 
 def probe_tile_counts(
-    values: np.ndarray,
-    a_base: np.ndarray,
+    splits: np.ndarray,
     a_len: np.ndarray,
-    b_base: np.ndarray,
     b_len: np.ndarray,
     diagonals: np.ndarray,
     trace_a_base: np.ndarray,
@@ -229,16 +253,25 @@ def probe_tile_counts(
     warp_size: int,
     layout=None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """β₁ probe conflict counts per lane group, without the probe matrix.
+    """β₁ probe conflict counts per lane group, replayed from known splits.
 
-    Runs :func:`partition_many_with_trace`'s lane-compressed bisection
-    over ``num_groups`` equal groups of consecutive lanes (one thread
-    block each; warps are consecutive runs of ``warp_size`` lanes) and
-    counts the probe steps of the lanes still searching as it goes: one
-    1-D sort of ``(warp, step, physical address)`` keys drops broadcast
-    duplicates, one bincount over ``(warp, step, bank)`` counts requests.
-    A pass covers one iteration's two probe steps, or several iterations
-    when few lanes search (:data:`PROBE_TABLE_CAP`). ``layout`` (a
+    Lane ``t`` bisects diagonal ``diagonals[t]`` of an ``A`` of
+    ``a_len[t]`` and a ``B`` of ``b_len[t]`` sorted keys whose merge-path
+    split is ``splits[t]`` (:func:`prefix_splits` reads splits off a
+    merge order). The bisection predicate ``A[mid] ≤ B[d − mid − 1]`` is
+    monotone in ``mid`` and flips exactly at the split (Merge Path's
+    monotone split predicate), so the search is replayed by integer
+    compare — ``take_a ⇔ mid < split`` — without reading a key: its probe
+    sequence is exactly :func:`partition_many_with_trace`'s on the keys.
+
+    The replay runs over ``num_groups`` equal groups of consecutive
+    lanes (one thread block each; warps are consecutive runs of
+    ``warp_size`` lanes), lane-compressed to the lanes still searching,
+    and counts their probe steps as it goes: one 1-D sort of
+    ``(warp, step, physical address)`` keys drops broadcast duplicates,
+    one bincount over ``(warp, step, bank)`` counts requests. A pass
+    covers one iteration's two probe steps, or several iterations when
+    few lanes search (:data:`PROBE_TABLE_CAP`). ``layout`` (a
     :class:`~repro.mitigation.base.Mitigation`, or ``None`` for the
     identity) maps ``(address, lane)`` to a physical address.
 
@@ -250,10 +283,16 @@ def probe_tile_counts(
     ``count_conflicts`` reports for each group's part of
     ``stack_group_warp_steps(dense, num_groups, warp_size)`` after the
     layout's remap, where ``dense`` is the probe matrix
-    :func:`partition_many_with_trace` would have recorded.
+    :func:`partition_many_with_trace` records for the same searches.
     """
+    splits = np.asarray(splits, dtype=np.int64)
+    diagonals = np.asarray(diagonals, dtype=np.int64)
+    lo = np.maximum(0, diagonals - np.asarray(b_len, dtype=np.int64))
+    hi = np.minimum(diagonals, np.asarray(a_len, dtype=np.int64))
+    if ((splits < lo) | (splits > hi)).any():
+        raise ValidationError("splits outside their lanes' search ranges")
     w = warp_size
-    lanes = np.asarray(diagonals).size
+    lanes = diagonals.size
     warps = lanes // w
     group_warps = warps // num_groups
     # The warp size is a power of two: shifts, not divisions.
@@ -313,15 +352,29 @@ def probe_tile_counts(
             )
         )
 
-    def visit(idx, a_addr, b_addr):
-        pending.append((idx, a_addr, b_addr))
+    # The replay runs on trace addresses: for a lane with A trace base
+    # ``a``, ((a + l) + (a + h)) >> 1 == a + ((l + h) >> 1), and the B
+    # probe ``trace_b_base + d − mid − 1`` is ``b_mirror − (a + mid)``.
+    idx = np.flatnonzero(lo < hi)
+    trace_a = np.asarray(trace_a_base, dtype=np.int64)[idx]
+    l, h, split = trace_a + lo[idx], trace_a + hi[idx], trace_a + splits[idx]
+    b_mirror = (
+        np.asarray(trace_b_base, dtype=np.int64)[idx]
+        + (diagonals[idx] - 1)
+        + trace_a
+    )
+    while idx.size:
+        mid = (l + h) >> 1
+        pending.append((idx, mid, b_mirror - mid))
         if len(pending) == per_pass:
             count_pending()
-
-    partition_many_with_trace(
-        values, a_base, a_len, b_base, b_len, diagonals,
-        trace_a_base, trace_b_base, visit=visit,
-    )
+        take_b = mid >= split  # the keys' A[mid] > B[d − mid − 1]
+        np.copyto(h, mid, where=take_b)
+        np.copyto(l, mid + 1, where=~take_b)  # not in place: ``mid`` is pending
+        searching = l < h
+        if np.count_nonzero(searching) < idx.size:
+            idx, l, h = idx[searching], l[searching], h[searching]
+            split, b_mirror = split[searching], b_mirror[searching]
     if pending:
         count_pending()
     if not found:

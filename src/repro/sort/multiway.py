@@ -40,7 +40,12 @@ from repro.gpu.global_memory import CoalescingModel, GlobalTraffic
 from repro.mergepath.kernels import stack_warp_steps, thread_rank_addresses
 from repro.mitigation.registry import reconcile_mitigation
 from repro.sort.config import SortConfig
-from repro.sort.pairwise import PairwiseMergeSort, RoundStats, SortResult
+from repro.sort.pairwise import (
+    PairwiseMergeSort,
+    RoundStats,
+    SortResult,
+    _has_both_zeros,
+)
 from repro.utils.bits import ceil_log2
 from repro.utils.rng import as_generator
 from repro.utils.validation import check_no_nan, check_power_of_two
@@ -114,7 +119,7 @@ class MultiwaySort:
 
         # Base case: identical to the pairwise algorithm.
         pairwise = PairwiseMergeSort(cfg, mitigation=self.mitigation)
-        arr = pairwise._base_register_phase(arr, result)
+        arr = pairwise._base_register_phase(arr, result, _has_both_zeros(arr))
         run = cfg.E
         while run < min(cfg.tile_size, n):
             arr, _ = pairwise._merge_round(arr, run, result, score_blocks, rng)

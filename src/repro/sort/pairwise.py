@@ -29,15 +29,21 @@ Implementation notes (why this is fast enough to sweep):
   find (:func:`global_block_windows`, DESIGN.md §12). Where every pair
   row is argsorted anyway (the loop oracle, fully scored block rounds),
   the merged values are gathered through that order instead.
+* A sampled sort's block rounds merge nothing but their scored tiles: a
+  tile's pre-merge pair rows are its sorted run-wide chunks of the
+  register phase's output, and one tile-row sort after the last block
+  round feeds the global rounds
+  (:meth:`PairwiseMergeSort._sampled_block_rounds`).
 * Conflict scoring is warp-additive, so all scored blocks of a round are
   counted at once, per tile, by two numpy kernels —
   :func:`~repro.dmm.fused.tile_merge_counts` (merge stage) and
-  :func:`~repro.mergepath.partition.probe_tile_counts` (β₁ probes) —
+  :func:`~repro.mergepath.partition.probe_tile_counts` (β₁ probes,
+  replayed from the splits the merge order fixes, no keys read) —
   with no traces or probe matrices; a run of adjacent tiles with equal
   rank→address rows is counted once (periodic inputs repeat one pattern
   across a round).
 * ``score_blocks`` caps how many tiles/blocks per round are scored
-  (merging still processes all of them); the constructed adversarial
+  (global rounds still merge all of them); the constructed adversarial
   inputs are periodic across blocks, so a small sample is *exact* for
   them and an unbiased estimate for random inputs. ``RoundStats`` keeps
   the scored/total counts so every aggregate can be rescaled honestly.
@@ -61,7 +67,11 @@ from repro.gpu.global_memory import CoalescingModel, GlobalTraffic
 from repro.gpu.timing import KernelCost
 from repro.mergepath import fused as fused_kernels
 from repro.mergepath.kernels import stack_warp_steps, thread_rank_addresses
-from repro.mergepath.partition import partition_many_with_trace, probe_tile_counts
+from repro.mergepath.partition import (
+    partition_many_with_trace,
+    prefix_splits,
+    probe_tile_counts,
+)
 from repro.sort.config import SortConfig
 from repro.sort.networks import apply_oddeven_network, oddeven_network
 from repro.utils.bits import ceil_log2
@@ -72,7 +82,9 @@ __all__ = [
     "PairwiseMergeSort",
     "RoundStats",
     "SortResult",
+    "block_probe_counts",
     "global_block_windows",
+    "global_probe_counts",
 ]
 
 
@@ -353,9 +365,22 @@ class PairwiseMergeSort:
         rng = as_generator(seed)
 
         result = SortResult(values=arr, config=cfg, num_elements=n)
-        arr = self._base_register_phase(arr, result)
+        both_zeros = _has_both_zeros(arr)
+        arr = self._base_register_phase(arr, result, both_zeros)
 
         run = cfg.E
+        if (
+            score_blocks is not None
+            and score_blocks < n // cfg.tile_size
+            and 2 * run <= cfg.tile_size
+            and self.scoring != "loop"
+            and not both_zeros
+            and not self._native(arr)
+        ):
+            # Sampled block rounds read only their scored tiles, so only
+            # those are merged (see _sampled_block_rounds).
+            arr = self._sampled_block_rounds(arr, result, score_blocks, rng)
+            run = cfg.tile_size
         scratch = None
         while run < n:
             prev = arr
@@ -373,13 +398,27 @@ class PairwiseMergeSort:
 
     # -- phases ----------------------------------------------------------
 
-    def _base_register_phase(self, arr: np.ndarray, result: SortResult) -> np.ndarray:
-        """Register-level odd-even sort of each thread's ``E`` elements."""
+    def _native(self, arr: np.ndarray) -> bool:
+        """Whether this sort's merge rounds run in the compiled backend."""
+        return (
+            self.scoring == "fused"
+            and self.mitigation.native_padding is not None
+            and fused_kernels.native_round_ready(arr)
+        )
+
+    def _base_register_phase(
+        self, arr: np.ndarray, result: SortResult, both_zeros: bool
+    ) -> np.ndarray:
+        """Register-level odd-even sort of each thread's ``E`` elements.
+
+        ``both_zeros`` says whether the keys hold both ``-0.0`` and
+        ``+0.0`` (:func:`_has_both_zeros`).
+        """
         cfg = self.config
         n = arr.size
         tiles = n // cfg.tile_size
 
-        if self.scoring == "loop" or _has_both_zeros(arr):
+        if self.scoring == "loop" or both_zeros:
             sorted_rows, comparator_ops = apply_oddeven_network(
                 arr.reshape(-1, cfg.E)
             )
@@ -458,11 +497,7 @@ class PairwiseMergeSort:
             scored = _choose_blocks(num_pairs * per, score_blocks, rng)
 
         used_scratch = False
-        native = (
-            self.scoring == "fused"
-            and self.mitigation.native_padding is not None
-            and fused_kernels.native_round_ready(arr)
-        )
+        native = self._native(arr)
         order = merged = None
         if native:
             # Native fused rounds never materialize the order array: the
@@ -492,7 +527,7 @@ class PairwiseMergeSort:
                 order = np.argsort(mat[rows], axis=1, kind="stable")
 
         if block_round:
-            self._score_block_round(arr, order, run, result, scored)
+            self._score_block_round(n, run, result, scored, order, arr)
         else:
             self._score_global_round(mat, order, run, result, scored, native)
 
@@ -501,21 +536,57 @@ class PairwiseMergeSort:
             # argsort would gather (ties and signed zeros included); it
             # runs in place, once scoring no longer reads the pre-merge
             # values.
-            mat.sort(axis=1, kind="stable")
+            _sort_rows(mat, kind="stable")
             merged = mat
         return merged.reshape(-1), used_scratch
+
+    def _sampled_block_rounds(
+        self,
+        arr: np.ndarray,
+        result: SortResult,
+        score_blocks: int,
+        rng: np.random.Generator,
+    ) -> np.ndarray:
+        """All block rounds of a sampled sort, merging only scored tiles.
+
+        ``arr`` is the register phase's output, sorted ``E``-element rows.
+        A tile's pre-merge pair rows in the round of run ``L`` are its
+        ``L``-wide chunks, sorted: exactly what the earlier rounds'
+        merges leave there. So each round sorts just its scored tiles'
+        chunks, argsorts their pair rows and scores them, and no other
+        tile is merged; one in-place sort of every tile then yields the
+        first global round's input. Like the register phase's row sort,
+        this is bit-identical to merging every round because equal keys
+        are identical bits: ``sort`` rejects NaN, and inputs holding both
+        ``-0.0`` and ``+0.0`` merge round by round instead. The blocks
+        are chosen exactly as :meth:`_merge_round` chooses them.
+        """
+        cfg = self.config
+        tiles = arr.reshape(-1, cfg.tile_size)
+        run = cfg.E
+        while 2 * run <= cfg.tile_size:
+            scored = _choose_blocks(tiles.shape[0], score_blocks, rng)
+            pairs = tiles[scored].reshape(-1, 2 * run)
+            _sort_rows(pairs.reshape(-1, run))
+            order = np.argsort(pairs, axis=1, kind="stable")
+            self._score_block_round(arr.size, run, result, scored, order)
+            run *= 2
+        _sort_rows(tiles)
+        return arr
 
     # -- block (base-case) rounds ---------------------------------------
 
     def _score_block_round(
         self,
-        flat_pre: np.ndarray,
-        order: np.ndarray | None,
+        n: int,
         run: int,
         result: SortResult,
         scored: np.ndarray,
+        order: np.ndarray | None,
+        flat_pre: np.ndarray | None = None,
     ) -> None:
-        """Score a block-level round: merges happen inside each tile.
+        """Score a block-level round of ``n`` elements: merges happen
+        inside each tile.
 
         Tile layout during block rounds: pair ``g`` of a tile occupies the
         contiguous window ``[g·2L, (g+1)·2L)`` with its ``A`` run first, so
@@ -524,10 +595,10 @@ class PairwiseMergeSort:
         rows of the ``scored`` tiles, in order (every row for the loop
         oracle). ``order is None`` marks a native fused round: the merge
         already ran in the compiled backend, which also rebuilds each
-        scored tile's interleaving.
+        scored tile's interleaving. Only the loop oracle and the native
+        scorer read ``flat_pre``, the pre-merge values.
         """
         cfg = self.config
-        n = flat_pre.size
         pair_width = 2 * run
         tiles = n // cfg.tile_size
         pairs_per_tile = cfg.tile_size // pair_width
@@ -543,17 +614,13 @@ class PairwiseMergeSort:
         else:
             # The (tiles, bE) rank→address map in one shot: pair base +
             # concatenated-pair index, per scored tile.
-            order_tiles = order.reshape(scored.size, pairs_per_tile, pair_width)
-            pair_bases = (
-                np.arange(pairs_per_tile, dtype=np.int64)[:, None] * pair_width
-            )
-            addr_by_rank = (order_tiles + pair_bases).reshape(
-                scored.size, cfg.tile_size
-            )
+            order_tiles = order.reshape(scored.size, cfg.tile_size)
+            pair_bases = np.arange(0, cfg.tile_size, pair_width).repeat(pair_width)
+            addr_by_rank = order_tiles + pair_bases
             merge_report, part_report = self._counted_reports(
                 addr_by_rank,
-                lambda pos: self._block_probe_counts(
-                    flat_pre, run, scored[pos], pairs_per_tile
+                lambda pos: block_probe_counts(
+                    order_tiles[pos], run, cfg, self._layout
                 ),
             )
 
@@ -570,46 +637,6 @@ class PairwiseMergeSort:
                 blocks_total=tiles,
                 blocks_scored=len(scored),
             )
-        )
-
-    def _block_probe_counts(
-        self,
-        flat_pre: np.ndarray,
-        run: int,
-        scored: np.ndarray,
-        pairs_per_tile: int,
-    ) -> tuple:
-        """β₁ probe counts (:func:`probe_tile_counts`) for the given tiles
-        of a block round.
-
-        Thread t of a tile bisects diagonal ``tE mod 2L`` of pair
-        ``tE // 2L``; every scored tile's b lanes go through one call.
-        """
-        cfg = self.config
-        pair_width = 2 * run
-        num_scored = scored.size
-        t_ranks = np.arange(cfg.b, dtype=np.int64) * cfg.E
-        pair_in_tile = t_ranks // pair_width  # (b,)
-        diagonals = t_ranks % pair_width
-        local_base = pair_in_tile * pair_width
-        pair_global = (
-            scored[:, None] * pairs_per_tile + pair_in_tile[None, :]
-        )  # (tiles, b)
-        a_base = (pair_global * pair_width).reshape(-1)
-        trace_a = np.broadcast_to(local_base, (num_scored, cfg.b)).reshape(-1)
-        lanes = num_scored * cfg.b
-        return probe_tile_counts(
-            flat_pre,
-            a_base=a_base,
-            a_len=np.full(lanes, run, dtype=np.int64),
-            b_base=a_base + run,
-            b_len=np.full(lanes, run, dtype=np.int64),
-            diagonals=np.broadcast_to(diagonals, (num_scored, cfg.b)).reshape(-1),
-            trace_a_base=trace_a,
-            trace_b_base=trace_a + run,
-            num_groups=num_scored,
-            warp_size=cfg.w,
-            layout=self._layout,
         )
 
     def _block_reports_loop(
@@ -701,7 +728,7 @@ class PairwiseMergeSort:
                 mat.reshape(-1), scored, run, cfg.E, cfg.b, cfg.w, self.padding
             )
         else:
-            local, pairs, a_lo, b_lo, na = global_block_windows(
+            local, na = global_block_windows(
                 mat, run, scored, cfg.tile_size
             )
             # Equal global blocks must also share their A-window length:
@@ -709,8 +736,8 @@ class PairwiseMergeSort:
             # differently between windows, which changes the β₁ probes.
             merge_report, part_report = self._counted_reports(
                 local,
-                lambda pos: self._global_probe_counts(
-                    mat, run, pairs[pos], a_lo[pos], b_lo[pos], na[pos]
+                lambda pos: global_probe_counts(
+                    local[pos], na[pos], cfg, self._layout
                 ),
                 extra=na,
             )
@@ -736,43 +763,6 @@ class PairwiseMergeSort:
                 blocks_total=blocks_total,
                 blocks_scored=len(scored),
             )
-        )
-
-    def _global_probe_counts(
-        self,
-        mat: np.ndarray,
-        run: int,
-        pairs: np.ndarray,
-        a_lo: np.ndarray,
-        b_lo: np.ndarray,
-        na: np.ndarray,
-    ) -> tuple:
-        """β₁ probe counts (:func:`probe_tile_counts`) for the given blocks
-        of a global round.
-
-        All blocks' diagonals go through one call against the flat
-        pre-merge buffer (mat rows are contiguous windows of it).
-        """
-        cfg = self.config
-        pair_width = mat.shape[1]
-        tile = cfg.tile_size
-        num_scored = pairs.size
-        lanes = num_scored * cfg.b
-        pair_base = pairs * pair_width
-        return probe_tile_counts(
-            mat.reshape(-1),
-            a_base=np.repeat(pair_base + a_lo, cfg.b),
-            a_len=np.repeat(na, cfg.b),
-            b_base=np.repeat(pair_base + run + b_lo, cfg.b),
-            b_len=np.repeat(tile - na, cfg.b),
-            diagonals=np.tile(
-                np.arange(cfg.b, dtype=np.int64) * cfg.E, num_scored
-            ),
-            trace_a_base=np.zeros(lanes, dtype=np.int64),
-            trace_b_base=np.repeat(na, cfg.b),
-            num_groups=num_scored,
-            warp_size=cfg.w,
-            layout=self._layout,
         )
 
     def _global_reports_loop(
@@ -914,10 +904,71 @@ def _choose_blocks(
     )
 
 
+def block_probe_counts(
+    order: np.ndarray, run: int, config: SortConfig, layout=None
+) -> tuple:
+    """β₁ probe counts (:func:`probe_tile_counts`) of block-round tiles.
+
+    Row ``i`` of ``order`` is one tile's pair rows' stable merge orders,
+    concatenated (``(tiles, bE)``; index ``< run`` is an ``A`` element).
+    Thread ``t`` bisects diagonal ``tE mod 2L`` of pair ``tE // 2L``; its
+    split is the count of ``A``-sourced ranks before that diagonal, read
+    off ``order`` by :func:`prefix_splits`.
+    """
+    cfg = config
+    tiles = order.shape[0]
+    t_ranks = np.arange(cfg.b, dtype=np.int64) * cfg.E
+    diagonals = t_ranks % (2 * run)
+    pair_start = t_ranks - diagonals
+    splits = prefix_splits(order < run, t_ranks, pair_start)
+    lens = np.full(splits.size, run, dtype=np.int64)
+    trace_a = np.tile(pair_start, tiles)
+    return probe_tile_counts(
+        splits.reshape(-1),
+        a_len=lens,
+        b_len=lens,
+        diagonals=np.tile(diagonals, tiles),
+        trace_a_base=trace_a,
+        trace_b_base=trace_a + run,
+        num_groups=tiles,
+        warp_size=cfg.w,
+        layout=layout,
+    )
+
+
+def global_probe_counts(
+    local: np.ndarray, na: np.ndarray, config: SortConfig, layout=None
+) -> tuple:
+    """β₁ probe counts (:func:`probe_tile_counts`) of global-round blocks.
+
+    Row ``i`` of ``local`` is a block's tile-local rank→address map, its
+    ``A`` window at ``[0, na[i])`` and its ``B`` window after it. Thread
+    ``t`` bisects diagonal ``tE`` of the block's windows; its split is
+    the count of ``A``-sourced ranks before it.
+    """
+    cfg = config
+    blocks = local.shape[0]
+    diagonals = np.arange(cfg.b, dtype=np.int64) * cfg.E
+    splits = prefix_splits(local < na[:, None], diagonals)
+    a_len = np.repeat(na, cfg.b)
+    return probe_tile_counts(
+        splits.reshape(-1),
+        a_len=a_len,
+        b_len=cfg.tile_size - a_len,
+        diagonals=np.tile(diagonals, blocks),
+        trace_a_base=np.zeros(a_len.size, dtype=np.int64),
+        trace_b_base=a_len,
+        num_groups=blocks,
+        warp_size=cfg.w,
+        layout=layout,
+    )
+
+
 def global_block_windows(
     mat: np.ndarray, run: int, blocks: np.ndarray, tile_size: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-block rank→address patterns and window geometry of a global round.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-block rank→address patterns and A-window lengths of a global
+    round.
 
     ``mat`` holds the round's pre-merge ``[A | B]`` pair rows (runs of
     ``run``); global block ``k`` merges output ranks ``[r_lo, r_lo + bE)``
@@ -929,9 +980,9 @@ def global_block_windows(
     it is the block's tile-local address map — no pair row is argsorted
     whole (DESIGN.md §12).
 
-    Returns ``(local, pairs, a_lo, b_lo, na)``: the ``(blocks, bE)``
-    address map plus each block's pair row and A/B window offsets and
-    A-window length.
+    Returns ``(local, na)``: the ``(blocks, bE)`` address map and each
+    block's A-window length — everything the block's conflict scoring
+    depends on.
     """
     pair_width = mat.shape[1]
     blocks_per_pair = pair_width // tile_size
@@ -959,7 +1010,7 @@ def global_block_windows(
     src = a_start[:, None] + slot
     src += np.where(slot >= na[:, None], b_shift[:, None], 0)
     local = np.argsort(flat[src], axis=1, kind="stable")
-    return local, pairs, a_lo, b_lo, na
+    return local, na
 
 
 def _has_both_zeros(arr: np.ndarray) -> bool:
@@ -968,6 +1019,11 @@ def _has_both_zeros(arr: np.ndarray) -> bool:
         return False
     signs = np.signbit(arr[arr == 0])
     return bool(signs.any() and not signs.all())
+
+
+def _sort_rows(mat: np.ndarray, kind: str | None = None) -> None:
+    """Sort every row of the 2-D ``mat`` in place."""
+    mat.sort(axis=1, kind=kind)
 
 
 def _gather_rows(flat: np.ndarray, order: np.ndarray) -> np.ndarray:

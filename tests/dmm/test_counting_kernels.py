@@ -4,7 +4,10 @@
 :func:`~repro.mergepath.partition.probe_tile_counts` score the merge and
 partition (β₁) stages without building traces. Their ground truth is
 ``count_conflicts(AccessTrace.from_dense(...))`` over each tile's warp-step
-matrix, remapped by the layout. The strategies cover every warp width the
+matrix, remapped by the layout; for the β₁ stage that matrix is the dense
+probe record of the value-driven search
+(:func:`~repro.mergepath.partition.partition_many_with_trace`), whose
+splits the value-free replay is given. The strategies cover every warp width the
 presets use, ``E`` values with ``GCD(w, E) > 1`` and ``E > w/2`` (where the
 paper's constructions live), duplicate keys (broadcast probes) and all
 four mitigation backends.
@@ -13,6 +16,7 @@ four mitigation backends.
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -25,8 +29,15 @@ from repro.mergepath.kernels import (
     stack_warp_steps,
 )
 from repro.mergepath import partition
-from repro.mergepath.partition import partition_many_with_trace, probe_tile_counts
+from repro.errors import ValidationError
+from repro.mergepath.partition import (
+    partition_many_with_trace,
+    prefix_splits,
+    probe_tile_counts,
+)
 from repro.mitigation.registry import create_mitigation
+from repro.sort.config import SortConfig
+from repro.sort.pairwise import block_probe_counts
 from repro.sort.serialize import reports_identical
 
 MITIGATIONS = ("none", "padding:1", "cfree-sort", "cfree-permute")
@@ -107,7 +118,9 @@ def block_searches(rng, w, e, warps, tiles, alphabet):
     length ``L = E·2^k`` from a flat buffer; lane ``t`` bisects diagonal
     ``tE mod 2L`` of pair ``tE // 2L``. Probe addresses are tile-local, so
     lanes of one warp can probe the same address (a broadcast) —
-    especially with few distinct keys.
+    especially with few distinct keys. Returns the value-driven search's
+    arguments and each tile's pair rows' stable merge orders,
+    concatenated (``(tiles, bE)``).
     """
     b = warps * w
     run = e << int(rng.integers(0, b.bit_length() - 1))
@@ -117,11 +130,12 @@ def block_searches(rng, w, e, warps, tiles, alphabet):
     values = np.sort(
         rng.integers(0, alphabet, size=(tiles * pairs_per_tile, 2, run)), axis=2
     ).reshape(-1)
+    order = np.argsort(values.reshape(-1, 2 * run), axis=1, kind="stable")
     pair_global = np.arange(tiles)[:, None] * pairs_per_tile + pair_in_tile
     a_base = (pair_global * 2 * run).reshape(-1)
     local = np.tile(pair_in_tile * 2 * run, tiles)
     lanes = tiles * b
-    return dict(
+    search = dict(
         values=values,
         a_base=a_base,
         a_len=np.full(lanes, run, dtype=np.int64),
@@ -131,6 +145,14 @@ def block_searches(rng, w, e, warps, tiles, alphabet):
         trace_a_base=local,
         trace_b_base=local + run,
     )
+    return search, order.reshape(tiles, b * e)
+
+
+def replay_args(search, splits):
+    """``probe_tile_counts`` arguments for ``search``'s lanes: the
+    value-free part of the search plus the lanes' known splits."""
+    keep = ("a_len", "b_len", "diagonals", "trace_a_base", "trace_b_base")
+    return dict(splits=splits, **{k: search[k] for k in keep})
 
 
 class TestProbeTileCounts:
@@ -138,7 +160,7 @@ class TestProbeTileCounts:
     @given(
         geometry(),
         st.integers(min_value=1, max_value=6),
-        st.sampled_from([1, 2**10, partition.PROBE_TABLE_CAP]),
+        st.integers(min_value=1, max_value=partition.PROBE_TABLE_CAP),
         st.sampled_from([0, 2**30]),
         st.integers(min_value=0, max_value=2**32 - 1),
     )
@@ -146,26 +168,33 @@ class TestProbeTileCounts:
     @example((32, 24, 2, 1, "padding:1"), 3, 1, 0, 1)
     @example((16, 12, 1, 2, "cfree-sort"), 1, 2**10, 2**30, 2)
     @example((8, 6, 2, 2, "cfree-permute"), 2, 1, 2**30, 3)
+    @example((4, 2, 2, 3, "none"), 1, 7, 0, 4)  # every key equal
     def test_matches_trace_scoring_per_tile(
         self, geom, alphabet, table_cap, far, seed
     ):
-        """``table_cap`` sets how many bisection iterations one counting
+        """The split-driven replay scores exactly the dense probe matrix
+        of the value-driven search it replaces.
+
+        ``table_cap`` sets how many bisection iterations one counting
         pass batches (1 → one iteration per pass, as on wide rounds);
         ``far`` moves the probe addresses past 2^30 so the sort keys
         need 64 bits."""
         w, e, warps, tiles, spec = geom
         layout = create_mitigation(spec)
-        search = block_searches(
+        search, _ = block_searches(
             np.random.default_rng(seed), w, e, warps, tiles, alphabet
         )
         search["trace_a_base"] = search["trace_a_base"] + far
         search["trace_b_base"] = search["trace_b_base"] + far
+        splits, dense = partition_many_with_trace(**search)
         with mock.patch.object(partition, "PROBE_TABLE_CAP", table_cap):
             counts = probe_tile_counts(
-                **search, num_groups=tiles, warp_size=w, layout=layout
+                **replay_args(search, splits),
+                num_groups=tiles,
+                warp_size=w,
+                layout=layout,
             )
         per_step, tile_steps, accesses, requests, replays = counts
-        _, dense = partition_many_with_trace(**search)
         group = warps * w
         periods = np.split(per_step, np.cumsum(tile_steps)[:-1])
         for t in range(tiles):
@@ -179,11 +208,47 @@ class TestProbeTileCounts:
                 periods[t], accesses[t], requests[t], replays[t], ref
             )
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        geometry(),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_prefix_splits_equal_the_searches(self, geom, alphabet, seed):
+        """Splits read off the stable merge order are the value-driven
+        bisection's, and the sort's block-round counter built on them
+        equals the replay of the searched splits."""
+        w, e, warps, tiles, spec = geom
+        layout = create_mitigation(spec)
+        search, order = block_searches(
+            np.random.default_rng(seed), w, e, warps, tiles, alphabet
+        )
+        splits, _ = partition_many_with_trace(**search)
+        b = warps * w
+        run = int(search["a_len"][0])
+        t_ranks = np.arange(b, dtype=np.int64) * e
+        pair_start = t_ranks - t_ranks % (2 * run)
+        got = prefix_splits(order < run, t_ranks, pair_start)
+        assert np.array_equal(got.reshape(-1), splits)
+
+        config = SortConfig(elements_per_thread=e, block_size=b, warp_size=w)
+        sort_counts = block_probe_counts(order, run, config, layout)
+        replayed = probe_tile_counts(
+            **replay_args(search, splits),
+            num_groups=tiles,
+            warp_size=w,
+            layout=layout,
+        )
+        for got_counter, want in zip(sort_counts, replayed):
+            assert np.array_equal(got_counter, want)
+
     def test_identity_layout_equals_none_backend(self):
-        search = block_searches(np.random.default_rng(5), 8, 6, 2, 3, 2)
-        plain = probe_tile_counts(**search, num_groups=3, warp_size=8)
+        search, _ = block_searches(np.random.default_rng(5), 8, 6, 2, 3, 2)
+        splits, _ = partition_many_with_trace(**search)
+        args = replay_args(search, splits)
+        plain = probe_tile_counts(**args, num_groups=3, warp_size=8)
         none = probe_tile_counts(
-            **search, num_groups=3, warp_size=8, layout=create_mitigation("none")
+            **args, num_groups=3, warp_size=8, layout=create_mitigation("none")
         )
         for a, b in zip(plain, none):
             assert np.array_equal(a, b)
@@ -192,10 +257,8 @@ class TestProbeTileCounts:
         lanes = 8
         zeros = np.zeros(lanes, dtype=np.int64)
         per_step, tile_steps, accesses, requests, replays = probe_tile_counts(
-            np.arange(4),
-            a_base=zeros,
+            zeros,
             a_len=zeros,
-            b_base=zeros,
             b_len=zeros + 4,
             diagonals=zeros,
             trace_a_base=zeros,
@@ -206,3 +269,18 @@ class TestProbeTileCounts:
         assert per_step.size == 0
         for counter in (tile_steps, accesses, requests, replays):
             assert np.array_equal(counter, [0, 0])
+
+    def test_split_outside_the_search_range_is_rejected(self):
+        lanes = 4
+        zeros = np.zeros(lanes, dtype=np.int64)
+        with pytest.raises(ValidationError):
+            probe_tile_counts(
+                zeros + 3,  # diagonal 2 can take at most 2 A elements
+                a_len=zeros + 4,
+                b_len=zeros + 4,
+                diagonals=zeros + 2,
+                trace_a_base=zeros,
+                trace_b_base=zeros + 4,
+                num_groups=1,
+                warp_size=4,
+            )

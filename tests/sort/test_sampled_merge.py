@@ -1,11 +1,12 @@
 """Sampled merge rounds against the loop oracle.
 
-A sampled block round (``score_blocks`` below the round's tile count)
-takes its merged values from a stable row sort and argsorts only the
-pair rows its scored tiles read; a block round whose scored tiles cover
-every pair row argsorts every row. Global rounds never argsort a whole
-pair row: each scored block argsorts its own merge window, and the
-merged values come from the row sort. Either way the result must match
+A sampled sort's block rounds (``score_blocks`` below the tile count)
+merge only their scored tiles: each sorts those tiles' pre-merge runs
+and argsorts their pair rows, and one tile-row sort after the last
+block round yields the global rounds' input. A block round whose scored
+tiles cover every pair row argsorts every row. Global rounds never
+argsort a whole pair row: each scored block argsorts its own merge
+window, and the merged values come from the row sort. Either way the result must match
 the loop oracle — which always argsorts every row — in values, counters
 and per-step costs, for every sample size from one tile up to all of
 them.
@@ -45,11 +46,42 @@ def test_matches_loop_oracle(monkeypatch, scoring, name, score_blocks):
         gathered.append(order.shape)
         return original(flat, order)
 
+    # Every row sort and argsort the sorter runs, as (rows, width).
+    sorted_rows = []
+    sort_rows = pairwise_mod._sort_rows
+
+    def counting_sort(mat, kind=None):
+        sorted_rows.append(mat.shape)
+        sort_rows(mat, kind)
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def argsort(self, a, *args, **kwargs):
+            sorted_rows.append(a.shape)
+            return np.argsort(a, *args, **kwargs)
+
     monkeypatch.setattr(pairwise_mod, "_gather_rows", counting)
+    monkeypatch.setattr(pairwise_mod, "_sort_rows", counting_sort)
+    monkeypatch.setattr(pairwise_mod, "np", CountingNumpy())
     result = _sort(scoring, data, score_blocks)
+    monkeypatch.undo()
     assert_results_identical(result, oracle)
 
-    if scoring == "fused" and pairwise_mod.fused_kernels.native_round_ready(data):
+    native = scoring == "fused" and pairwise_mod.fused_kernels.native_round_ready(
+        data
+    )
+    if score_blocks < TILES and not native:
+        # Sampled block rounds sort and argsort only their scored tiles'
+        # elements; the one larger sort no wider than a tile is the tile-row
+        # sort after the last block round. (Wider sorts are global rounds.)
+        tile = CONFIG.tile_size
+        within_tile = [(r, w) for r, w in sorted_rows if w <= tile]
+        larger = [(r, w) for r, w in within_tile if r * w > score_blocks * tile]
+        assert larger == [(TILES, tile)]
+
+    if native:
         # The compiled merge never builds an order array.
         assert gathered == []
     else:
@@ -67,7 +99,8 @@ class TestSignedZeros:
 
     The zeros compare equal, so which one lands where is decided by the
     register phase's odd-even network; a plain row sort orders them
-    differently.
+    differently. So such inputs also skip the sampled sorts' on-demand
+    block rounds, whose tile sorts are plain row sorts.
     """
 
     @pytest.fixture
@@ -77,8 +110,12 @@ class TestSignedZeros:
         return rng.choice(choices, size=CONFIG.tile_size * 4)
 
     @pytest.mark.parametrize("scoring", ["vectorized", "fused"])
-    @pytest.mark.parametrize("score_blocks", [None, 1])
-    def test_sign_bits_match_loop(self, data, scoring, score_blocks):
+    @pytest.mark.parametrize("score_blocks", [None, 1, 3])
+    def test_sign_bits_match_loop(self, monkeypatch, data, scoring, score_blocks):
+        def on_demand(*args):
+            pytest.fail("both signed zeros must merge every block round")
+
+        monkeypatch.setattr(PairwiseMergeSort, "_sampled_block_rounds", on_demand)
         oracle = _sort("loop", data, score_blocks)
         result = _sort(scoring, data, score_blocks)
         assert_results_identical(result, oracle)
