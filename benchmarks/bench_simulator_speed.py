@@ -14,6 +14,7 @@ trajectory, and an exact sweep of the periodic constructed inputs tracks
 what counting each run of equal tiles once buys.
 """
 
+import statistics
 import time
 
 import numpy as np
@@ -32,6 +33,28 @@ def _timing_kwargs(benchmark) -> dict:
         "min_seconds": stats.min,
         "iqr_seconds": stats.iqr,
     }
+
+
+#: Passes of each side behind an in-run speedup floor.
+RATIO_PASSES = 3
+
+
+def _interleaved_medians(slow, fast, passes=RATIO_PASSES):
+    """Median seconds of ``slow`` and of ``fast`` over ``passes``
+    alternating calls each, plus each side's last return value.
+
+    Alternating exposes both sides to the same host load, and a median
+    against a median compares like with like, which one cold pass
+    against a warm minimum does not.
+    """
+    seconds = ([], [])
+    results = [None, None]
+    for _ in range(passes):
+        for side, fn in enumerate((slow, fast)):
+            start = time.perf_counter()
+            results[side] = fn()
+            seconds[side].append(time.perf_counter() - start)
+    return (*map(statistics.median, seconds), *results)
 
 
 def test_exact_simulation_speed(benchmark):
@@ -87,24 +110,22 @@ SAMPLED_FUSED_OVER_LOOP = 9
 
 
 def test_exact_fused_speed(benchmark):
-    """The fused engine on the exact workload. The in-run ratio against a
-    fresh loop-oracle pass is asserted loosely (CI noise on the slower leg
-    is the flake source); the committed ``exact_fused`` baseline row is
-    what ``check_regression`` gates."""
+    """The fused engine on the exact workload. The in-run ratio against
+    the loop oracle compares medians of interleaved passes; the committed
+    ``exact_fused`` baseline row is what ``check_regression`` gates."""
     from repro.dmm import fused as dmm_fused
 
     n = THRUST_MAXWELL.tile_size * 16
     data = generate("random", THRUST_MAXWELL, n, seed=0)
     loop = PairwiseMergeSort(THRUST_MAXWELL, scoring="loop")
-    start = time.perf_counter()
-    baseline = loop.sort(data)
-    loop_seconds = time.perf_counter() - start
-
     sorter = PairwiseMergeSort(THRUST_MAXWELL, scoring="fused")
     result = benchmark(sorter.sort, data)
-    assert np.array_equal(result.values, baseline.values)
 
-    fused_seconds = benchmark.stats.stats.min
+    loop_seconds, fused_seconds, baseline, fused_result = _interleaved_medians(
+        lambda: loop.sort(data), lambda: sorter.sort(data)
+    )
+    assert np.array_equal(result.values, baseline.values)
+    assert np.array_equal(fused_result.values, baseline.values)
     ratio = loop_seconds / fused_seconds if fused_seconds else float("inf")
     backend = dmm_fused.active_backend()
     record(
@@ -125,26 +146,24 @@ def test_exact_fused_speed(benchmark):
 
 
 def test_sampled_fused_speed(benchmark):
-    """Fused engine, sampled workload (the sweep regime)."""
+    """Fused engine, sampled workload (the sweep regime). The in-run
+    ratio against the loop oracle compares medians of interleaved
+    passes."""
     from repro.dmm import fused as dmm_fused
 
     n = THRUST_MAXWELL.tile_size * 128
     data = generate("random", THRUST_MAXWELL, n, seed=0)
     loop = PairwiseMergeSort(THRUST_MAXWELL, scoring="loop")
-    start = time.perf_counter()
-    baseline = loop.sort(data, score_blocks=8)
-    loop_seconds = time.perf_counter() - start
-
     sorter = PairwiseMergeSort(THRUST_MAXWELL, scoring="fused")
+    fused_sort = lambda: sorter.sort(data, score_blocks=8)  # noqa: E731
     result = benchmark.pedantic(
-        lambda: sorter.sort(data, score_blocks=8),
-        rounds=5,
-        iterations=1,
-        warmup_rounds=1,
+        fused_sort, rounds=5, iterations=1, warmup_rounds=1
+    )
+
+    loop_seconds, fused_seconds, baseline, _ = _interleaved_medians(
+        lambda: loop.sort(data, score_blocks=8), fused_sort
     )
     assert np.array_equal(result.values, baseline.values)
-
-    fused_seconds = benchmark.stats.stats.min
     ratio = loop_seconds / fused_seconds if fused_seconds else float("inf")
     backend = dmm_fused.active_backend()
     record(
@@ -278,11 +297,11 @@ def test_sweep_analytic_speed(benchmark):
     engine's per-process class-scoring cost) because the number tracked
     here is the steady-state per-request cost of a warm daemon — the
     regime the service serves sweeps in. The default-path sweep
-    (``sweep_exact``) is timed once in-run so the speedup is a measured
-    ratio; the acceptance floor
-    is 100x (measured ~1000x), and the absolute timing is gated by the
-    committed ``analytic_sweep`` baseline row through
-    ``check_regression``.
+    (``sweep_exact``) is timed in-run, interleaved with the warm analytic
+    one, so the speedup is a measured ratio of medians; the acceptance
+    floor is 100x (measured 114–181x on a 2-vCPU host), and the absolute
+    timing is gated by the committed ``analytic_sweep`` baseline row
+    through ``check_regression``.
     """
     from repro.bench.runner import SweepRunner
     from repro.gpu.device import get_device
@@ -290,23 +309,21 @@ def test_sweep_analytic_speed(benchmark):
     sizes = [THRUST_MAXWELL.tile_size * (1 << k) for k in range(6)]
     inputs = ("worst-case", "sorted")
 
-    start = time.perf_counter()
-    baseline_points = _vectorized_sweep(sizes, inputs)
-    simulated_seconds = time.perf_counter() - start
-
     runner = SweepRunner(
         THRUST_MAXWELL, get_device("quadro-m4000"), score_blocks=None,
         scoring="analytic",
     )
+    analytic_sweep = lambda: [runner.sweep(name, sizes) for name in inputs]  # noqa: E731
     points = benchmark.pedantic(
-        lambda: [runner.sweep(name, sizes) for name in inputs],
-        rounds=3,
-        iterations=1,
-        warmup_rounds=1,
+        analytic_sweep, rounds=3, iterations=1, warmup_rounds=1
+    )
+
+    simulated_seconds, analytic_seconds, baseline_points, _ = (
+        _interleaved_medians(
+            lambda: _vectorized_sweep(sizes, inputs), analytic_sweep
+        )
     )
     assert points == baseline_points  # closed form never changes BenchPoints
-
-    analytic_seconds = benchmark.stats.stats.median
     ratio = (
         simulated_seconds / analytic_seconds if analytic_seconds else float("inf")
     )
@@ -321,8 +338,9 @@ def test_sweep_analytic_speed(benchmark):
         inputs=list(inputs),
         max_n=max(sizes),
     )
-    # Acceptance floor for the closed form; measured ~1000x warm, so
-    # 100x leaves ample room for CI noise.
+    # Acceptance floor for the closed form. Median against median it
+    # measured 114–181x, so the floor leaves little room; the ~1000x once
+    # quoted divided one cold simulated pass by the warm median.
     assert ratio >= 100, (
         f"analytic sweep only {ratio:.1f}x over default-path simulation"
     )

@@ -3,7 +3,7 @@
 :class:`ServiceEngine` routes sort plans through ``POST /simulate`` and
 point plans through ``POST /sweep`` on a daemon, via the blocking
 :class:`~repro.service.client.ServiceClient`. The daemon is where the
-warm state lives (whole-sort result cache, optional disk cache,
+warm state lives (reply cache, optional disk cache,
 warm worker pool), so a cold client process still gets warm-path
 latencies — that is the point of using this engine.
 

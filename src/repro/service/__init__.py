@@ -2,8 +2,8 @@
 
 ``repro-mergesort serve`` starts an asyncio daemon (hand-rolled
 HTTP/1.1, stdlib only) that amortizes the library's cold-start costs —
-calibration sorts, repeated ``/simulate`` inputs (a whole-sort result
-cache), the on-disk bench cache, the sweep worker pool — across every
+calibration sorts, repeated requests (a reply cache of encoded
+bodies), the on-disk bench cache, the sweep worker pool — across every
 request of its lifetime, with
 single-flight request coalescing, bounded-admission backpressure
 (HTTP 429), per-request deadlines, and graceful SIGTERM drain.

@@ -8,7 +8,9 @@ renderer walks whatever sections are present in the payload and skips
 the rest (``bench_cache`` is absent without ``--cache``).
 
 The ``repro_result_cache_*`` samples render the ``/stats["memo"]``
-section, which describes the daemon's ``/simulate`` result cache.
+section, the reply cache's totals over every endpoint; the
+``repro_reply_cache_*`` samples render ``/stats["reply_cache"]``, the
+same cache split by endpoint.
 """
 
 from __future__ import annotations
@@ -157,25 +159,42 @@ def render_metrics(payload: dict) -> str:
         out.sample(
             "result_cache_hits_total",
             results.get("hits"),
-            help="/simulate requests served from the result cache.",
+            help="Requests served from the reply cache.",
         )
         out.sample(
             "result_cache_misses_total",
             results.get("misses"),
-            help="/simulate requests the result cache could not serve.",
+            help="Requests the reply cache could not serve.",
         )
         out.sample(
             "result_cache_entries",
             results.get("entries"),
             kind="gauge",
-            help="Sort results held by the result cache.",
+            help="Replies held by the reply cache.",
         )
         out.sample(
             "result_cache_bytes",
             results.get("stored_bytes"),
             kind="gauge",
-            help="Approximate bytes the result cache retains.",
+            help="Approximate bytes the reply cache retains.",
         )
+    # One family at a time: Prometheus wants each family's samples
+    # contiguous.
+    split = sorted(payload.get("reply_cache", {}).items())
+    for field, name, kind, help in (
+        ("hits", "hits_total", "counter", "Requests served from the reply cache"),
+        ("misses", "misses_total", "counter", "Reply-cache lookups that missed"),
+        ("entries", "entries", "gauge", "Replies held by the reply cache"),
+        ("stored_bytes", "bytes", "gauge", "Bytes the reply cache retains"),
+    ):
+        for endpoint, counts in split:
+            out.sample(
+                f"reply_cache_{name}",
+                counts.get(field),
+                kind=kind,
+                help=f"{help}, by endpoint.",
+                labels={"endpoint": endpoint},
+            )
 
     cache = payload.get("bench_cache")
     if cache:

@@ -1,14 +1,14 @@
 """The asyncio generation-and-scoring daemon.
 
 A long-lived process that amortizes everything a cold CLI invocation
-pays per run: one bounded
-:class:`~repro.service.result_cache.ResultCache` serves a repeated
-``/simulate`` input without sorting it again, one optional
-:class:`~repro.bench.cache.BenchCache` serves sweep points and
-calibrations from disk, and (with ``jobs > 1``) one warm
-:class:`~concurrent.futures.ProcessPoolExecutor` keeps calibrated
-:class:`~repro.bench.runner.SweepRunner`\\ s alive in its workers
-between ``/sweep`` requests.
+pays per run: one byte-bounded
+:class:`~repro.service.result_cache.ReplyCache` answers a repeated
+``/simulate``, ``/sweep`` or ``/construct`` request with the reply bytes
+it already encoded, one optional :class:`~repro.bench.cache.BenchCache`
+serves sweep points and calibrations from disk, and (with ``jobs > 1``)
+one warm :class:`~concurrent.futures.ProcessPoolExecutor` keeps
+calibrated :class:`~repro.bench.runner.SweepRunner`\\ s alive in its
+workers between ``/sweep`` requests.
 
 HTTP/1.1 is hand-rolled over :func:`asyncio.start_server` — no
 ``http.server``, no third-party dependencies. Endpoints:
@@ -20,25 +20,31 @@ HTTP/1.1 is hand-rolled over :func:`asyncio.start_server` — no
 ``POST /jobs``        chunked sweep manifest → ``job_id`` (202)
 ``GET  /jobs/<id>``   am-I-done probe; the full point set once done
 ``GET  /healthz``     liveness (+ draining state)
-``GET  /stats``       counters, batching/backpressure, result + disk cache
+``GET  /stats``       counters, batching/backpressure, reply + disk cache
 ``GET  /metrics``     the same counters in Prometheus text format
 ``POST /shutdown``    graceful drain, same path as SIGTERM
 ====================  =====================================================
 
 Request flow for the compute endpoints: parse/validate → fingerprint →
-single-flight (identical in-flight requests share one computation) →
-bounded admission (full ⇒ 429 + ``Retry-After``) → thread-pool
-execution with a per-request deadline (expired ⇒ 504 for that waiter
-only). ``/jobs`` chunks take the same path through
+reply cache (``/sweep`` and ``/construct`` repeats are answered here, on
+the event loop) → single-flight (identical in-flight requests share one
+computation) → bounded admission (full ⇒ 429 + ``Retry-After``) →
+thread-pool execution with a per-request deadline (expired ⇒ 504 for
+that waiter only). The executor thread also encodes the reply, so the
+event loop only writes bytes. ``/simulate`` looks its entry up in the
+executor thread, because its key digests the generated input and its
+``sorted_ok`` is re-checked against that input on every request.
+``/jobs`` chunks take the same path through
 :class:`~repro.service.scheduler.JobScheduler`, so a chunk coalesces
 with an identical direct ``/sweep``. SIGTERM/SIGINT (or
-``POST /shutdown``) stop the listener, let in-flight work finish within
-``drain_timeout``, then exit.
+``POST /shutdown``) stop the listener, close idle keep-alive
+connections, let in-flight work finish within ``drain_timeout``, then
+exit.
 
-Simulations serialize on one process-wide lock: the simulator is a
-NumPy hot loop that saturates a core anyway, and the lock also guards
-the result cache. Scaling across cores is the job of the ``/sweep`` and ``/jobs``
-process pool (``jobs > 1``).
+Sorts serialize on one process-wide lock: the simulator is a NumPy hot
+loop that saturates a core anyway. Input generation, cache lookups and
+encoding stay outside it. Scaling across cores is the job of the
+``/sweep`` and ``/jobs`` process pool (``jobs > 1``).
 """
 
 from __future__ import annotations
@@ -80,10 +86,16 @@ from repro.service.protocol import (
     SweepRequest,
     point_to_obj,
 )
-from repro.service.result_cache import ResultCache, simulate_key
+from repro.service.result_cache import (
+    ReplyCache,
+    SimulateEntry,
+    reply_body,
+    reply_head,
+    simulate_key,
+)
 from repro.service.scheduler import JobScheduler
 from repro.service.stats import ServiceStats
-from repro.sort.serialize import array_to_obj, config_to_obj, result_to_obj
+from repro.sort.serialize import array_to_obj, config_to_obj
 
 __all__ = [
     "ServiceConfig",
@@ -200,7 +212,7 @@ class ReproService:
             if config.quota_per_minute
             else None
         )
-        self.results = ResultCache()
+        self.replies = ReplyCache()
         self.cache = (
             BenchCache(config.cache_dir)
             if (config.use_cache or config.cache_dir)
@@ -216,6 +228,10 @@ class ReproService:
         self._loop: asyncio.AbstractEventLoop | None = None
         self._shutdown_event = asyncio.Event()
         self._conn_tasks: set[asyncio.Task] = set()
+        #: Connections waiting for their next request line; a drain
+        #: closes them at once.
+        self._idle: set[asyncio.StreamWriter] = set()
+        self._close_idle = False
         self._draining = False
 
         self._executor = ThreadPoolExecutor(
@@ -315,8 +331,14 @@ class ReproService:
         in_flight = len(self.single_flight.tasks)
         self._log(f"draining: {in_flight} in-flight computation(s)")
         drained = await self.single_flight.drain(self.config.drain_timeout)
-        # Let connection handlers flush their final responses, then close
-        # whatever is left (idle keep-alive clients).
+        # No computation is left to answer a request an idle keep-alive
+        # client could still send, so close those connections now; a
+        # handler that finishes its request after this closes too.
+        self._close_idle = True
+        for writer in list(self._idle):
+            writer.close()
+        # Let connection handlers flush their final responses, then
+        # cancel whatever is still stuck mid-request.
         if self._conn_tasks:
             grace = max(
                 1.0, self.config.drain_timeout - (time.monotonic() - began)
@@ -371,10 +393,18 @@ class ReproService:
     ) -> None:
         peer = writer.get_extra_info("peername")
         peer_host = peer[0] if isinstance(peer, tuple) else str(peer or "?")
-        while True:
+        timeout = self.config.keepalive_timeout
+        while not self._close_idle:
+            self._idle.add(writer)
+            try:
+                line = await asyncio.wait_for(reader.readline(), timeout)
+            except asyncio.TimeoutError:
+                return
+            finally:
+                self._idle.discard(writer)
             try:
                 request = await asyncio.wait_for(
-                    _read_request(reader), self.config.keepalive_timeout
+                    _read_request(reader, line), timeout
                 )
             except asyncio.TimeoutError:
                 return
@@ -405,7 +435,7 @@ class ReproService:
 
     async def _dispatch(
         self, request: _HttpRequest, client: str
-    ) -> tuple[int, dict | str, dict]:
+    ) -> tuple[int, dict | str | bytes, dict]:
         path = request.path.split("?", 1)[0]
         if path.startswith("/jobs/"):
             self.stats.requests["/jobs/<id>"] += 1
@@ -468,16 +498,18 @@ class ReproService:
             return self._submit_job(body)
         if path == "/construct":
             return await self._serve_compute(
+                path,
                 lambda: ConstructRequest.from_payload(body),
                 self._compute_construct,
             )
         if path == "/simulate":
             return await self._serve_compute(
+                path,
                 lambda: SimulateRequest.from_payload(body),
                 self._compute_simulate,
             )
         return await self._serve_compute(
-            lambda: SweepRequest.from_payload(body), self._compute_sweep
+            path, lambda: SweepRequest.from_payload(body), self._compute_sweep
         )
 
     def _quota_reject(self, client: str) -> tuple[int, dict, dict] | None:
@@ -517,25 +549,45 @@ class ReproService:
         self.stats.completed += 1
         return 202, {"ok": True, **ack}, {}
 
-    async def _run_compute(self, request, compute: Callable):
-        """Single flight → admission → executor; ``(payload, coalesced)``."""
+    async def _run_compute(self, endpoint: str, request, compute: Callable):
+        """Reply cache → single flight → admission → executor.
+
+        Returns ``(head, coalesced)``: the encoded reply up to its
+        ``coalesced`` flag (:func:`~repro.service.result_cache.reply_head`)
+        and whether this caller joined an in-flight computation. A
+        ``/sweep`` or ``/construct`` repeat is answered from the reply
+        cache right here, on the loop; a miss is computed, encoded and
+        stored by the leader's executor thread. ``/simulate`` does its
+        own lookup in :meth:`_compute_simulate`.
+        """
+        key = request.coalesce_key()
+        keyed = endpoint != "/simulate"
+        if keyed:
+            head = self.replies.get(endpoint, key)
+            if head is not None:
+                return head, False
+
+        def work():
+            head = compute(request)
+            if keyed:
+                self.replies.put(endpoint, key, head)
+            return head
+
         loop = asyncio.get_running_loop()
 
         async def start():
-            return await loop.run_in_executor(
-                self._executor, lambda: compute(request)
-            )
+            return await loop.run_in_executor(self._executor, work)
 
         return await self.single_flight.run(
-            request.coalesce_key(),
+            key,
             start,
             gate=self.admission,
             timeout=self.config.request_timeout,
         )
 
     async def _serve_compute(
-        self, parse: Callable, compute: Callable
-    ) -> tuple[int, dict, dict]:
+        self, endpoint: str, parse: Callable, compute: Callable
+    ) -> tuple[int, dict | bytes, dict]:
         try:
             request = parse()
         except _CLIENT_ERRORS as exc:
@@ -545,7 +597,7 @@ class ReproService:
             return self._draining_reply()
 
         try:
-            payload, coalesced = await self._run_compute(request, compute)
+            head, coalesced = await self._run_compute(endpoint, request, compute)
         except BlockingIOError:
             return (
                 429,
@@ -578,10 +630,7 @@ class ReproService:
             return 500, {"error": str(exc), "kind": "internal"}, {}
 
         self.stats.completed += 1
-        reply = dict(payload)
-        reply["ok"] = True
-        reply["coalesced"] = coalesced
-        return 200, reply, {}
+        return 200, reply_body(head, coalesced), {}
 
     async def _submit_chunk(self, payload: dict) -> dict:
         """Scheduler hook: run one job chunk exactly like a direct ``/sweep``.
@@ -596,8 +645,8 @@ class ReproService:
         if self._draining:
             raise ServiceError("service is draining")
         try:
-            reply, _ = await self._run_compute(
-                SweepRequest.from_payload(payload), self._compute_sweep
+            head, _ = await self._run_compute(
+                "/sweep", SweepRequest.from_payload(payload), self._compute_sweep
             )
         except (*_CLIENT_ERRORS, ServiceError):
             raise
@@ -606,7 +655,7 @@ class ReproService:
             if not isinstance(exc, expected):
                 self._log_unhandled(exc)
             raise ServiceError(f"chunk failed: {exc!r}") from exc
-        return reply
+        return json.loads(reply_body(head, False))
 
     # -- compute (executor threads) -----------------------------------------
 
@@ -623,30 +672,35 @@ class ReproService:
             self._engines[scoring] = engine
         return engine
 
-    def _compute_construct(self, request: ConstructRequest) -> dict:
+    def _compute_construct(self, request: ConstructRequest) -> bytes:
         data = worst_case_permutation(request.config, request.num_elements)
         self.stats.constructs_executed += 1
         values = (
             data.tolist() if request.encoding == "json" else array_to_obj(data)
         )
-        return {
-            "config": config_to_obj(request.config),
-            "num_elements": int(request.num_elements),
-            "encoding": request.encoding,
-            "values": values,
-        }
+        return reply_head(
+            {
+                "config": config_to_obj(request.config),
+                "num_elements": int(request.num_elements),
+                "encoding": request.encoding,
+                "values": values,
+            }
+        )
 
-    def _compute_simulate(self, request: SimulateRequest) -> dict:
-        with self._compute_lock:
-            data = generate(
-                request.input_name,
-                request.config,
-                request.num_elements,
-                seed=request.seed,
-            )
-            key = simulate_key(request, data)
-            result = self.results.get(key)
-            if result is None:
+    def _compute_simulate(self, request: SimulateRequest) -> bytes:
+        """Generate the input, then serve its sort from the reply cache
+        or run it. Only the sort holds the compute lock; ``sorted_ok``
+        compares this request's own input with the entry's values."""
+        data = generate(
+            request.input_name,
+            request.config,
+            request.num_elements,
+            seed=request.seed,
+        )
+        key = simulate_key(request, data)
+        entry = self.replies.get("/simulate", key)
+        if entry is None:
+            with self._compute_lock:
                 result = self._engine_for(request.scoring).run_sort(
                     SortTask(
                         config=request.config,
@@ -660,16 +714,12 @@ class ReproService:
                     )
                 )
                 self.stats.sorts_executed += 1
-                self.results.put(key, result)
-        sorted_ok = bool(np.array_equal(result.values, np.sort(data)))
-        return {
-            "sorted_ok": sorted_ok,
-            "result": result_to_obj(
-                result, include_values=request.include_values
-            ),
-        }
+            entry = SimulateEntry.encode(result)
+            self.replies.put("/simulate", key, entry)
+        sorted_ok = bool(np.array_equal(np.sort(data), entry.values))
+        return entry.reply_head(sorted_ok, request.include_values)
 
-    def _compute_sweep(self, request: SweepRequest) -> dict:
+    def _compute_sweep(self, request: SweepRequest) -> bytes:
         cache_dir = str(self.cache.cache_dir) if self.cache else None
         items = [
             WorkItem(
@@ -708,11 +758,13 @@ class ReproService:
                     items, progress=progress
                 )
         self.stats.sweeps_executed += 1
-        return {
-            "points": [point_to_obj(p) for p in points],
-            "inputs": list(request.input_names),
-            "sizes": list(request.sizes),
-        }
+        return reply_head(
+            {
+                "points": [point_to_obj(p) for p in points],
+                "inputs": list(request.input_names),
+                "sizes": list(request.sizes),
+            }
+        )
 
     def _new_pool_engine(self) -> ExecutionEngine:
         # Spawn, not fork: workers start on demand mid-request, and a
@@ -746,9 +798,10 @@ class ReproService:
         payload["pool_workers"] = self.config.jobs
         payload["quota_per_minute"] = self.config.quota_per_minute
         payload.update(self.scheduler.stats())
-        # Under "memo" for existing readers: the result cache is what
-        # serves repeated work across requests now.
-        payload["memo"] = self.results.stats()
+        # Under "memo" for existing readers: the reply cache's totals,
+        # then its per-endpoint split.
+        payload["memo"] = self.replies.stats()
+        payload["reply_cache"] = self.replies.endpoint_stats()
         if self.cache is not None:
             disk = self.cache.stats()
             payload["bench_cache"] = {
@@ -767,9 +820,11 @@ class ReproService:
 # -- HTTP framing -----------------------------------------------------------
 
 
-async def _read_request(reader: asyncio.StreamReader) -> _HttpRequest | None:
-    """Parse one request; ``None`` on a clean EOF before the first byte."""
-    line = await reader.readline()
+async def _read_request(
+    reader: asyncio.StreamReader, line: bytes
+) -> _HttpRequest | None:
+    """Parse the request whose request ``line`` was just read; ``None``
+    on a clean EOF before the first byte."""
     if not line:
         return None
     parts = line.decode("latin-1").strip().split()
@@ -807,17 +862,21 @@ async def _read_request(reader: asyncio.StreamReader) -> _HttpRequest | None:
 
 
 def _render_response(
-    status: int, payload: dict | str, extra: dict, *, keep_alive: bool
+    status: int, payload: dict | str | bytes, extra: dict, *, keep_alive: bool
 ) -> bytes:
-    """Frame one response. Dict payloads render as JSON; string payloads
-    are sent verbatim as text (``/metrics``); ``extra`` may override the
-    ``Content-Type``."""
+    """Frame one response. Dict payloads render as JSON and bytes are
+    JSON already encoded; string payloads are sent verbatim as text
+    (``/metrics``); ``extra`` may override the ``Content-Type``."""
     headers = dict(extra)
     if isinstance(payload, str):
         body = payload.encode("utf-8")
         content_type = headers.pop("Content-Type", "text/plain; charset=utf-8")
     else:
-        body = json.dumps(payload).encode("utf-8")
+        body = (
+            payload
+            if isinstance(payload, bytes)
+            else json.dumps(payload).encode("utf-8")
+        )
         content_type = headers.pop("Content-Type", "application/json")
     lines = [
         f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",

@@ -28,7 +28,7 @@ from repro.mitigation.registry import (
     reconcile_mitigation,
 )
 from repro.service.protocol import SimulateRequest
-from repro.service.result_cache import ResultCache, simulate_key
+from repro.service.result_cache import ReplyCache, SimulateEntry, simulate_key
 from repro.sort.pairwise import PairwiseMergeSort
 from repro.sort.serialize import config_to_obj
 from tests.engine.comparison import (
@@ -182,18 +182,19 @@ class TestScoringPathsAgreePerMitigation:
 
     def test_memo_context_separates_mitigations(self):
         """Warm state from one layout must never serve another: the
-        daemon's result cache keys on the mitigation spec."""
+        daemon's reply cache keys on the mitigation spec."""
         data = generate("worst-case", CFG, N, seed=0)
-        cache = ResultCache()
+        cache = ReplyCache()
         results = []
         for spec in ("none", "cfree-sort"):
             request = SimulateRequest.from_payload(
                 {"config": config_to_obj(CFG), "tiles": 8, "mitigation": spec}
             )
             key = simulate_key(request, data)
-            assert cache.get(key) is None  # nothing leaked across layouts
+            # Nothing leaked across layouts.
+            assert cache.get("/simulate", key) is None
             results.append(_sort(spec, data=data))
-            cache.put(key, results[-1])
+            cache.put("/simulate", key, SimulateEntry.encode(results[-1]))
         first, second = results
         assert first.total_replays() > 0
         assert second.total_replays() == 0

@@ -6,6 +6,7 @@ with an event-gated wrapper: the leader blocks until the test releases
 it, so concurrent requests are guaranteed to overlap.
 """
 
+import io
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -268,11 +269,20 @@ class TestSharedCaches:
             cold = box.client.sweep(**kwargs)
             warm = box.client.sweep(**kwargs)
             assert warm.points == cold.points
-            # Hit counters live on the sweep runners' own cache handles;
-            # the service-level view exposes the shared on-disk state.
-            disk = box.client.stats()["bench_cache"]
-            assert disk["point_entries"] >= 1
-            assert box.client.stats()["executed"]["sweep"] == 2
+            # The computed sweep fills the disk cache; its repeat is a
+            # reply-cache hit and executes nothing.
+            stats = box.client.stats()
+            assert stats["bench_cache"]["point_entries"] >= 1
+            assert stats["executed"]["sweep"] == 1
+            assert stats["reply_cache"]["/sweep"]["hits"] == 1
+        # A fresh daemon on the same directory starts with an empty
+        # reply cache and serves the point from disk.
+        log = io.StringIO()
+        with service_factory(
+            cache_dir=str(tmp_path), use_cache=True, log_stream=log
+        ) as box:
+            assert box.client.sweep(**kwargs).points == cold.points
+            assert "(cached)" in log.getvalue()
 
 
 class TestShutdown:
@@ -292,6 +302,39 @@ class TestShutdown:
                 assert blocked.result().sorted_ok
             box.thread.join(30)
             assert not box.thread.is_alive()
+        assert box.holder["drained"] is True
+
+    def test_idle_keepalive_client_does_not_hold_the_drain(
+        self, service_factory, monkeypatch
+    ):
+        """An idle keep-alive connection is closed once in-flight work
+        finishes, so it costs the drain nothing; the request in flight
+        still gets its reply."""
+        import http.client
+        import time
+
+        started, release = gated_simulate(monkeypatch)
+        with service_factory(drain_timeout=30.0) as box:
+            idle = http.client.HTTPConnection(
+                box.client.host, box.client.port, timeout=30
+            )
+            try:
+                idle.request("GET", "/healthz")
+                assert idle.getresponse().read()
+                with ThreadPoolExecutor(max_workers=1) as pool:
+                    blocked = pool.submit(
+                        box.client.simulate, config=cfg_obj(), tiles=2
+                    )
+                    assert started.wait(15)
+                    box.client.shutdown()
+                    began = time.monotonic()
+                    release.set()
+                    assert blocked.result().sorted_ok
+                box.thread.join(30)
+                assert time.monotonic() - began < 2.0
+                assert not box.thread.is_alive()
+            finally:
+                idle.close()
         assert box.holder["drained"] is True
 
     def test_draining_rejects_new_work_on_live_connections(

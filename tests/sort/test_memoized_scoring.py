@@ -3,21 +3,24 @@
 A tile's counts are a pure function of its rank→address row, so the
 default scoring path counts each run of adjacent equal rows once and
 reuses the counts over the run. Nothing of it outlives a sort; the one
-warm state left is the daemon's whole-sort result cache. What is pinned
-here is that the reuse engages on periodic inputs, that it stays
-bit-identical to counting every row and to the loop oracle (sampled
-rounds included), that the result cache serves exact results under
-eviction churn, and that results carry no memo statistics.
+warm state left is the daemon's reply cache. What is pinned here is
+that the reuse engages on periodic inputs, that it stays bit-identical
+to counting every row and to the loop oracle (sampled rounds included),
+that the reply cache serves exact results under eviction churn, and
+that results carry no memo statistics.
 :mod:`tests.dmm.test_run_dedup` holds the property tests over injected
 runs.
 """
+
+import json
 
 import numpy as np
 import pytest
 
 from repro.inputs.generators import generate
-from repro.service.result_cache import ResultCache, result_bytes
+from repro.service.result_cache import ReplyCache, SimulateEntry
 from repro.sort.pairwise import PairwiseMergeSort
+from repro.sort.serialize import result_from_obj
 from tests.engine.comparison import (
     CONFIGS,
     assert_results_identical,
@@ -82,22 +85,25 @@ class TestWarmMemo:
 
 
     def test_eviction_churn_stays_exact(self):
-        """The one warm state left is the daemon's result cache. A budget
-        of one result forces an eviction on every store; whatever it
-        serves must still be bit-identical to a fresh sort."""
+        """The one warm state left is the daemon's reply cache. A budget
+        of one entry forces an eviction on every store; whatever it
+        serves must still decode bit-identical to a fresh sort."""
         cfg = CONFIGS["small-e"]
         inputs = [
             generate(name, cfg, cfg.tile_size * 4, seed=7)
             for name in ("random", "worst-case", "sawtooth")
         ]
         fresh = [PairwiseMergeSort(cfg).sort(data) for data in inputs]
-        cache = ResultCache(max_bytes=max(map(result_bytes, fresh)))
+        budget = max(SimulateEntry.encode(r).nbytes for r in fresh)
+        cache = ReplyCache(max_bytes=budget)
         for _ in range(2):
             for key, data, expected in zip((b"r", b"w", b"s"), inputs, fresh):
-                served = cache.get(key)
-                if served is None:
-                    served = PairwiseMergeSort(cfg).sort(data)
-                    cache.put(key, served)
+                entry = cache.get("/simulate", key)
+                if entry is None:
+                    entry = SimulateEntry.encode(PairwiseMergeSort(cfg).sort(data))
+                    cache.put("/simulate", key, entry)
+                body = entry.reply_head(True, True) + b"false}"
+                served = result_from_obj(json.loads(body)["result"])
                 assert_results_identical(served, expected)
                 assert len(cache) == 1
         assert cache.stored_bytes <= cache.max_bytes
