@@ -27,11 +27,14 @@ N = CFG.tile_size * 32
 def test_padding_vs_adversary(benchmark):
     perm = worst_case_permutation(CFG, N)
 
-    def run(padding):
-        return PairwiseMergeSort(CFG, padding=padding).sort(perm, score_blocks=4)
+    def run(mitigation):
+        sorter = PairwiseMergeSort(CFG, mitigation=mitigation)
+        return sorter.sort(perm, score_blocks=4)
 
-    padded = benchmark.pedantic(lambda: run(1), rounds=2, iterations=1)
-    stock = run(0)
+    padded = benchmark.pedantic(
+        lambda: run("padding:1"), rounds=2, iterations=1
+    )
+    stock = run("none")
     rng = np.random.default_rng(0)
     random_stock = PairwiseMergeSort(CFG).sort(rng.permutation(N), score_blocks=4)
 

@@ -33,7 +33,10 @@ def main() -> None:
     rows = []
     for label, sorter in (
         ("stock merge sort", PairwiseMergeSort(CFG)),
-        ("padded merge sort (pad=1)", PairwiseMergeSort(CFG, padding=1)),
+        (
+            "padded merge sort (pad=1)",
+            PairwiseMergeSort(CFG, mitigation="padding:1"),
+        ),
     ):
         adv = sorter.sort(adversarial, score_blocks=8)
         rnd = sorter.sort(random, score_blocks=8)

@@ -8,10 +8,11 @@ fingerprint of everything that determines the result:
 
 * for a :class:`~repro.bench.metrics.BenchPoint` — the full
   :class:`~repro.sort.config.SortConfig` field set, the full
-  :class:`~repro.gpu.device.DeviceSpec` field set, the shared-memory
-  ``padding``, the input family name, ``N``, ``score_blocks``, ``seed``,
-  ``exact_threshold`` (it selects the calibration size for synthesized
-  points), and the cache schema version;
+  :class:`~repro.gpu.device.DeviceSpec` field set, the canonical
+  ``mitigation`` spec (the shared-memory layout), the input family name,
+  ``N``, ``score_blocks``, ``seed``, ``exact_threshold`` (it selects the
+  calibration size for synthesized points), and the cache schema
+  version;
 * for :class:`~repro.bench.runner.CalibratedRates` — the same minus the
   device (conflict rates are combinatorial, not device-dependent), with
   the explicit calibration size instead of the threshold.
@@ -79,31 +80,29 @@ def point_key(
     config: SortConfig,
     device: DeviceSpec,
     *,
-    padding: int,
+    mitigation: str,
     input_name: str,
     num_elements: int,
     score_blocks: int | None,
     seed: int,
     exact_threshold: int,
     scoring: str | None = None,
-    mitigation: str | None = None,
 ) -> dict:
     """Cache key for one :class:`BenchPoint`.
 
-    ``scoring`` stays out of the key (``None``) for every bit-identical
-    mode; the runner passes ``"analytic"`` only for its explicit
-    exact-at-every-size path, whose above-threshold points legitimately
-    differ from synthesized ones. ``mitigation`` likewise enters only
-    for non-default layouts (the runner passes ``None`` for ``"none"``).
-    Omitting the entries when ``None`` keeps every pre-existing
-    fingerprint unchanged.
+    ``mitigation`` is the layout's canonical spec
+    (:attr:`~repro.mitigation.base.Mitigation.spec`), so one layout has
+    one fingerprint however it was spelled. ``scoring`` stays out of the
+    key (``None``) for every bit-identical mode; the runner passes
+    ``"analytic"`` only for its explicit exact-at-every-size path, whose
+    above-threshold points legitimately differ from synthesized ones.
     """
     key = {
         "kind": "point",
         "schema": SCHEMA_VERSION,
         "config": dataclasses.asdict(config),
         "device": dataclasses.asdict(device),
-        "padding": padding,
+        "mitigation": mitigation,
         "input": input_name,
         "num_elements": num_elements,
         "score_blocks": score_blocks,
@@ -112,39 +111,32 @@ def point_key(
     }
     if scoring is not None:
         key["scoring"] = scoring
-    if mitigation is not None:
-        key["mitigation"] = mitigation
     return key
 
 
 def rates_key(
     config: SortConfig,
     *,
-    padding: int,
+    mitigation: str,
     input_name: str,
     calibration_size: int,
     score_blocks: int | None,
     seed: int,
-    mitigation: str | None = None,
 ) -> dict:
     """Cache key for one :class:`CalibratedRates` measurement.
 
-    ``mitigation`` follows the :func:`point_key` convention: present
-    only for non-default layouts, so pre-existing fingerprints survive.
+    ``mitigation`` is the canonical layout spec, as in :func:`point_key`.
     """
-    key = {
+    return {
         "kind": "rates",
         "schema": SCHEMA_VERSION,
         "config": dataclasses.asdict(config),
-        "padding": padding,
+        "mitigation": mitigation,
         "input": input_name,
         "calibration_size": calibration_size,
         "score_blocks": score_blocks,
         "seed": seed,
     }
-    if mitigation is not None:
-        key["mitigation"] = mitigation
-    return key
 
 
 @dataclass(frozen=True)

@@ -102,9 +102,6 @@ class SweepRunner:
         are block-periodic, so small samples are exact for them).
     seed:
         Input-generation seed.
-    padding:
-        Shared-memory padding passed to the simulated sort (0 = the stock
-        layout the paper attacks).
     scoring:
         Round-scoring implementation: ``"auto"`` (the registry-wide
         :data:`~repro.engine.registry.DEFAULT_SCORING` — analytic for
@@ -121,6 +118,12 @@ class SweepRunner:
         except for explicit ``"analytic"``, whose exact-at-every-size
         points above ``exact_threshold`` genuinely differ from the
         synthesized ones and get their own fingerprint entry.
+    mitigation:
+        Shared-memory layout defense, as a spec string (``"none"`` — the
+        stock layout the paper attacks — ``"padding:N"``,
+        ``"cfree-sort"``, ``"cfree-permute"``) or a
+        :class:`~repro.mitigation.base.Mitigation`; canonicalized to its
+        spec string at construction.
     cache:
         Optional :class:`~repro.bench.cache.BenchCache`; when set, bench
         points and calibration rates are looked up on disk before any
@@ -136,12 +139,7 @@ class SweepRunner:
     exact_threshold: int = 1 << 21
     score_blocks: int | None = 8
     seed: int = 0
-    padding: int = 0
     scoring: str = DEFAULT_SCORING
-    #: Shared-memory layout defense (spec string, see
-    #: :mod:`repro.mitigation.registry`); canonicalized at construction.
-    #: The legacy ``padding`` knob keeps its spelling (and its cache
-    #: fingerprints) — the two reconcile inside the sorter.
     mitigation: str = "none"
     cache: BenchCache | None = None
     instrumented_sorts: int = field(default=0, init=False, repr=False)
@@ -153,20 +151,15 @@ class SweepRunner:
     _layout: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        from repro.mitigation.registry import reconcile_mitigation
-        from repro.utils.validation import check_nonnegative_int
+        from repro.mitigation.registry import create_mitigation
 
         check_positive_int(self.exact_threshold, "exact_threshold")
-        check_nonnegative_int(self.padding, "padding")
         check_scoring(self.scoring)
-        # Reconcile once: catches padding/mitigation conflicts and the
-        # analytic-vs-unmodeled-layout case at construction, and gives
-        # the occupancy model the layout's true footprint.
-        self._layout = reconcile_mitigation(self.mitigation, self.padding)
-        self.mitigation = (
-            "none" if self.mitigation is None else
-            reconcile_mitigation(self.mitigation).spec
-        )
+        # Resolve once: catches the analytic-vs-unmodeled-layout case at
+        # construction, and gives the occupancy model the layout's true
+        # footprint.
+        self._layout = create_mitigation(self.mitigation)
+        self.mitigation = self._layout.spec
         if self.scoring == "analytic" and not self._layout.analytic_supported:
             raise ValidationError(
                 "scoring='analytic' cannot model mitigation "
@@ -244,7 +237,6 @@ class SweepRunner:
         return bench_cache.point_key(
             self.config,
             self.device,
-            padding=self.padding,
             input_name=input_name,
             num_elements=n,
             score_blocks=self.score_blocks,
@@ -254,11 +246,9 @@ class SweepRunner:
             # above-threshold points differ from synthesized ones and
             # must not share their fingerprints. Everywhere the paths
             # overlap they are bit-identical, so no other scoring mode
-            # enters the key. Non-default mitigations likewise get
-            # their own fingerprints ("none" stays absent so every
-            # pre-existing entry keeps hitting).
+            # enters the key.
             scoring="analytic" if self.scoring == "analytic" else None,
-            mitigation=None if self.mitigation == "none" else self.mitigation,
+            mitigation=self.mitigation,
         )
 
     def _rates_key(self, input_name: str, n_cal: int) -> dict | None:
@@ -267,12 +257,11 @@ class SweepRunner:
             return None
         return bench_cache.rates_key(
             self.config,
-            padding=self.padding,
             input_name=input_name,
             calibration_size=n_cal,
             score_blocks=self.score_blocks,
             seed=self.seed,
-            mitigation=None if self.mitigation == "none" else self.mitigation,
+            mitigation=self.mitigation,
         )
 
     def _resolved_scoring(self, input_name: str, n: int) -> str:
@@ -282,7 +271,7 @@ class SweepRunner:
             config=self.config,
             input_name=input_name,
             num_elements=n,
-            mitigation=self._layout.spec,
+            mitigation=self.mitigation,
         )
 
     def _use_analytic(self, input_name: str, n: int) -> bool:
@@ -297,9 +286,7 @@ class SweepRunner:
         from repro.analytic import AnalyticEngine, analytic_model
 
         if self._engine is None:
-            # Analytic-supported layouts are padding-expressible; the
-            # reconciled width covers both the legacy knob and an
-            # explicit "padding:N" mitigation spec.
+            # Analytic-supported layouts are padding-expressible.
             self._engine = AnalyticEngine(
                 self.config, padding=self._layout.native_padding or 0
             )
@@ -324,10 +311,7 @@ class SweepRunner:
             return self._analytic_sort(input_name, n)
         data = generate(input_name, self.config, n, seed=self.seed)
         return PairwiseMergeSort(
-            self.config,
-            padding=self.padding,
-            scoring=scoring,
-            mitigation=self.mitigation,
+            self.config, scoring=scoring, mitigation=self._layout
         ).sort(data, score_blocks=self.score_blocks, seed=self.seed)
 
     def _exact_point(self, input_name: str, n: int) -> BenchPoint:

@@ -67,7 +67,7 @@ from repro.engine.registry import (
 from repro.gpu.device import get_device
 from repro.gpu.occupancy import occupancy
 from repro.inputs.generators import GENERATORS, generate
-from repro.mitigation import MITIGATION_MODES, reconcile_mitigation
+from repro.mitigation import MITIGATION_MODES, create_mitigation
 from repro.sort.presets import preset
 
 __all__ = ["main"]
@@ -397,7 +397,7 @@ def _cmd_simulate(args) -> int:
     device = get_device(args.device)
     n = config.tile_size * args.tiles
     data = generate(args.input, config, n, seed=args.seed)
-    layout = reconcile_mitigation(args.mitigation, field="--mitigation")
+    layout = create_mitigation(args.mitigation, field="--mitigation")
     engine_name = args.engine or engine_for_scoring(args.scoring)
     if engine_name == "analytic" and not layout.analytic_supported:
         raise ValidationError(
@@ -496,7 +496,7 @@ def _progress_printer(stream=None):
 def _cmd_sweep(args) -> int:
     config = preset(args.preset)
     device = get_device(args.device)
-    layout = reconcile_mitigation(args.mitigation, field="--mitigation")
+    layout = create_mitigation(args.mitigation, field="--mitigation")
     sizes = [n for n in config.valid_sizes(args.max_elements) if n >= 100_000]
     cache_dir, use_cache = cache_ref(_bench_cache(args))
     items = [
@@ -856,7 +856,7 @@ def _cmd_request(args) -> int:
     scoring = _request_scoring(args)
     # Canonicalize client-side so typos fail fast; "none" is dropped from
     # the wire (the server default) to keep old-server compatibility.
-    spec = reconcile_mitigation(args.mitigation, field="--mitigation").spec
+    spec = create_mitigation(args.mitigation, field="--mitigation").spec
     mitigation = None if spec == "none" else spec
     client = ServiceClient(args.url, timeout=args.timeout)
     if args.action in ("healthz", "stats", "shutdown"):

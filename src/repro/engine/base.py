@@ -66,13 +66,11 @@ class SortTask:
     config: "SortConfig"
     input_name: str
     num_elements: int
-    padding: int = 0
     score_blocks: int | None = None
     seed: int = 0
     values: "np.ndarray | None" = None
     #: Shared-memory layout defense, as a canonical spec string (see
-    #: :mod:`repro.mitigation.registry`); reconciled with ``padding`` by
-    #: the executing sorter.
+    #: :mod:`repro.mitigation.registry`).
     mitigation: str = "none"
 
     def describe(self) -> str:

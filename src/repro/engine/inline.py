@@ -2,7 +2,7 @@
 
 One :class:`InlineEngine` instance is warm state: it caches
 :class:`~repro.sort.pairwise.PairwiseMergeSort` instances per
-(config, padding, resolved scoring) for sort plans, and a
+(config, resolved scoring, mitigation) for sort plans, and a
 fingerprint-keyed :class:`~repro.bench.runner.SweepRunner` table for
 point plans (the serial equivalent of a pool worker's table — same
 :func:`~repro.engine.tasks.runner_for` core, same staleness fix).
@@ -63,19 +63,14 @@ class InlineEngine(ExecutionEngine):
 
     # -- sort plans ----------------------------------------------------------
 
-    def _sorter_for(
-        self, config, padding: int, scoring: str, mitigation: str = "none"
-    ):
+    def _sorter_for(self, config, scoring: str, mitigation: str = "none"):
         from repro.sort.pairwise import PairwiseMergeSort
 
-        key = (config, padding, scoring, mitigation)
+        key = (config, scoring, mitigation)
         sorter = self._sorters.get(key)
         if sorter is None:
             sorter = PairwiseMergeSort(
-                config,
-                padding=padding,
-                scoring=scoring,
-                mitigation=mitigation,
+                config, scoring=scoring, mitigation=mitigation
             )
             self._sorters[key] = sorter
         return sorter
@@ -83,17 +78,14 @@ class InlineEngine(ExecutionEngine):
     def _execute_sorts(self, tasks: tuple) -> list:
         results = []
         for task in tasks:
-            mitigation = getattr(task, "mitigation", "none")
             scoring = resolve_scoring(
                 self.scoring,
                 config=task.config,
                 input_name=task.input_name,
                 num_elements=task.num_elements,
-                mitigation=mitigation,
+                mitigation=task.mitigation,
             )
-            sorter = self._sorter_for(
-                task.config, task.padding, scoring, mitigation
-            )
+            sorter = self._sorter_for(task.config, scoring, task.mitigation)
             data = task.values
             if data is None:
                 data = generate(

@@ -90,9 +90,9 @@ def resolve_scoring(
     ineligible *input* still fails loudly downstream, by design.)
     """
     mode = check_scoring(scoring)
-    from repro.mitigation.registry import reconcile_mitigation
+    from repro.mitigation.registry import create_mitigation
 
-    layout = reconcile_mitigation(mitigation)
+    layout = create_mitigation(mitigation)
     if mode == "analytic" and not layout.analytic_supported:
         raise ValidationError(
             "scoring='analytic' cannot model mitigation "

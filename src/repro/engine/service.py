@@ -89,7 +89,6 @@ class ServiceEngine(ExecutionEngine):
                 config=config_to_obj(task.config),
                 input=task.input_name,
                 num_elements=task.num_elements,
-                padding=task.padding,
                 score_blocks=task.score_blocks,
                 seed=task.seed,
                 scoring=self.scoring,
@@ -116,7 +115,6 @@ class ServiceEngine(ExecutionEngine):
                 exact_threshold=item.exact_threshold,
                 score_blocks=item.score_blocks,
                 seed=item.seed,
-                padding=item.padding,
                 scoring=item.scoring,
                 mitigation=(
                     None if item.mitigation == "none" else item.mitigation

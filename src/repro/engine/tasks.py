@@ -56,7 +56,6 @@ class WorkItem:
     exact_threshold: int = 1 << 21
     score_blocks: int | None = 8
     seed: int = 0
-    padding: int = 0
     #: Runner scoring mode ("auto" | "vectorized" | "loop" | "analytic");
     #: see :class:`~repro.bench.runner.SweepRunner`. The default is the
     #: registry-wide :data:`~repro.engine.registry.DEFAULT_SCORING`
@@ -64,11 +63,18 @@ class WorkItem:
     #: point, so serial and pooled sweeps resolve the same engine for
     #: every point.
     scoring: str = DEFAULT_SCORING
-    #: Shared-memory layout defense, as a canonical spec string (see
-    #: :mod:`repro.mitigation.registry`).
+    #: Shared-memory layout defense, as a spec string (see
+    #: :mod:`repro.mitigation.registry`); canonicalized at construction,
+    #: so one layout gives one :func:`runner_key`.
     mitigation: str = "none"
     cache_dir: str | None = None
     use_cache: bool = False
+
+    def __post_init__(self) -> None:
+        from repro.mitigation.registry import check_mitigation
+
+        spec = check_mitigation(self.mitigation)
+        object.__setattr__(self, "mitigation", spec)
 
     def describe(self) -> str:
         """Human-readable label for progress lines."""
@@ -112,7 +118,6 @@ def sweep_items(
     exact_threshold: int = 1 << 21,
     score_blocks: int | None = 8,
     seed: int = 0,
-    padding: int = 0,
     scoring: str = DEFAULT_SCORING,
     mitigation: str = "none",
     cache: BenchCache | None = None,
@@ -128,7 +133,6 @@ def sweep_items(
             exact_threshold=exact_threshold,
             score_blocks=score_blocks,
             seed=seed,
-            padding=padding,
             scoring=scoring,
             mitigation=mitigation,
             cache_dir=cache_dir,
@@ -160,7 +164,6 @@ def runner_key(item: WorkItem) -> str:
             "exact_threshold": item.exact_threshold,
             "score_blocks": item.score_blocks,
             "seed": item.seed,
-            "padding": item.padding,
             "scoring": item.scoring,
             "mitigation": item.mitigation,
             "cache_dir": item.cache_dir,
@@ -188,7 +191,6 @@ def runner_for(item: WorkItem, table: dict[str, SweepRunner]) -> SweepRunner:
             exact_threshold=item.exact_threshold,
             score_blocks=item.score_blocks,
             seed=item.seed,
-            padding=item.padding,
             scoring=item.scoring,
             mitigation=item.mitigation,
             cache=cache,

@@ -3,8 +3,7 @@
 Section I recalls that *bank-conflict-free* algorithms avoid worst cases
 at the price of extra complexity; this package makes the defenses
 first-class. Four backends sit behind one :class:`Mitigation` contract
-(address remap + shared-memory cost model) and a registry mirroring the
-execution-engine one:
+(address remap + shared-memory cost model), chosen by spec string:
 
 * ``none`` — identity layout, the paper's full attack surface;
 * ``padding`` — the Dotsenko et al. co-prime padding trick the paper
@@ -17,9 +16,9 @@ execution-engine one:
 
 Every scoring path (loop, vectorized, fused, analytic-gated), the
 sweep runner, the service protocol, and the CLI dispatch through
-:func:`create_mitigation` / :func:`reconcile_mitigation`; the
-``matrix`` experiment (``repro-mergesort matrix``) crosses the backends
-against every input family and sort backend. The original padding
+:func:`create_mitigation`; the ``matrix`` experiment
+(``repro-mergesort matrix``) crosses the backends against every input
+family and sort backend. The original padding
 helpers remain importable from here unchanged.
 """
 
@@ -34,9 +33,6 @@ from repro.mitigation.registry import (
     MITIGATION_MODES,
     check_mitigation,
     create_mitigation,
-    mitigation_names,
-    reconcile_mitigation,
-    register_mitigation,
 )
 
 __all__ = [
@@ -45,10 +41,7 @@ __all__ = [
     "Mitigation",
     "check_mitigation",
     "create_mitigation",
-    "mitigation_names",
     "pad_addresses",
     "padded_shared_bytes",
     "padded_size",
-    "reconcile_mitigation",
-    "register_mitigation",
 ]

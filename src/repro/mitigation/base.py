@@ -39,10 +39,8 @@ The contract has four load-bearing pieces:
     ``None`` forces the numpy fused path, whose counting kernels apply
     :meth:`physical` explicitly.
 
-Backends register themselves with
-:func:`repro.mitigation.registry.register_mitigation` and are summoned
-by spec string (``"none"``, ``"padding:1"``, ``"cfree-sort"``,
-``"cfree-permute"``) via
+Backends are summoned by spec string (``"none"``, ``"padding:1"``,
+``"cfree-sort"``, ``"cfree-permute"``) via
 :func:`~repro.mitigation.registry.create_mitigation`.
 """
 

@@ -74,7 +74,7 @@ class PaddingMitigation(Mitigation):
     """Registry backend wrapping the module's padding transform.
 
     ``PaddingMitigation(pad).remap`` equals :func:`pad_addresses`
-    (bit-identity with the legacy path is regression-tested in
+    (regression-tested in
     ``tests/mitigation/test_matrix_equivalence.py``), and the analytic
     engine already models Dotsenko padding, so the backend stays
     analytic-eligible and keeps the compiled fused kernels in play via

@@ -258,17 +258,15 @@ class ServiceClient:
         seed: int = 0,
         include_values: bool = True,
         scoring: str | None = None,
-        padding: int | None = None,
         mitigation: str | None = None,
     ) -> SimulateReply:
         """Run one instrumented sort on the server.
 
         ``scoring=None`` leaves the engine choice to the server (its
         default is ``"vectorized"``); pass ``"analytic"`` for the
-        closed-form path on constructed families. ``padding`` simulates
-        the padded shared-memory layout (server default 0, the stock
-        layout); ``mitigation`` selects a registered layout defense by
-        spec string (server default ``"none"``).
+        closed-form path on constructed families. ``mitigation`` selects
+        the shared-memory layout by spec string, e.g. ``"padding:1"``
+        (server default ``"none"``, the stock layout).
         """
         payload = _body(
             preset=preset,
@@ -279,7 +277,6 @@ class ServiceClient:
             seed=seed,
             include_values=include_values,
             scoring=scoring,
-            padding=padding,
             mitigation=mitigation,
         )
         # None means "score every block" (the protocol's explicit null),
@@ -306,7 +303,6 @@ class ServiceClient:
         score_blocks: int | None = 8,
         seed: int = 0,
         scoring: str | None = None,
-        padding: int | None = None,
         mitigation: str | None = None,
     ) -> SweepReply:
         """Run a grid of bench points on the server.
@@ -326,7 +322,6 @@ class ServiceClient:
             exact_threshold=exact_threshold,
             seed=seed,
             scoring=scoring,
-            padding=padding,
             mitigation=mitigation,
         )
         # As in simulate(): an explicit null means "score every block".

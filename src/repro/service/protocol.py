@@ -127,22 +127,17 @@ def _mitigation_field(payload: dict, default: str = "none") -> str:
     return check_mitigation(value, field="'mitigation'")
 
 
-def _resolve_layout(payload: dict) -> tuple[int, str]:
-    """Normalize the ``padding``/``mitigation`` pair into one layout.
+def _reject_padding(payload: dict) -> None:
+    """A ``padding`` field is a 400, never silently the stock layout.
 
-    The legacy ``padding: N`` knob and the ``mitigation: "padding:N"``
-    spec describe the same physical layout; reconciling them here means
-    (a) a conflicting pair is a 400 at parse time and (b) both phrasings
-    canonicalize to identical request fields, so they coalesce.
+    Unknown fields are otherwise ignored, so without this check a body
+    still spelling the layout as ``padding: N`` would run unpadded.
     """
-    from repro.mitigation.registry import reconcile_mitigation
-
-    padding = _int_field(payload, "padding", 0, minimum=0)
-    layout = reconcile_mitigation(
-        _mitigation_field(payload), padding, field="'mitigation'"
-    )
-    native = layout.native_padding
-    return (native if native is not None else 0, layout.spec)
+    if "padding" in payload:
+        raise ValidationError(
+            "'padding' is not a request field; spell the padded layout "
+            '"mitigation": "padding:N"'
+        )
 
 
 def _scoring_field(payload: dict, default: str, *, allow_auto: bool) -> str:
@@ -212,21 +207,16 @@ class SimulateRequest:
     #: "vectorized" | "loop" | "analytic"; the closed-form engine serves
     #: constructed-family requests in microseconds instead of ~100 ms.
     scoring: str
-    #: Shared-memory padding of the simulated layout (0 = the stock
-    #: layout the paper attacks).
-    padding: int
-    #: Canonical mitigation spec ("none", "padding:N", "cfree-sort",
-    #: "cfree-permute"). Normalized with ``padding`` at parse time: a
-    #: bare ``padding: N`` request and an explicit
-    #: ``mitigation: "padding:N"`` request describe the same layout and
-    #: therefore coalesce.
+    #: Canonical mitigation spec ("none" — the stock layout the paper
+    #: attacks — "padding:N", "cfree-sort", "cfree-permute"), so one
+    #: layout phrased two ways ("padding" and "padding:1") coalesces.
     mitigation: str
 
     @classmethod
     def from_payload(cls, payload) -> "SimulateRequest":
         payload = _require_dict(payload, "/simulate")
+        _reject_padding(payload)
         config = _resolve_config(payload)
-        padding, mitigation = _resolve_layout(payload)
         return cls(
             config=config,
             input_name=_resolve_input(payload),
@@ -235,8 +225,7 @@ class SimulateRequest:
             seed=_int_field(payload, "seed", 0, minimum=0),
             include_values=_bool_field(payload, "include_values", True),
             scoring=_scoring_field(payload, "vectorized", allow_auto=False),
-            padding=padding,
-            mitigation=mitigation,
+            mitigation=_mitigation_field(payload),
         )
 
     def coalesce_key(self) -> str:
@@ -251,7 +240,6 @@ class SimulateRequest:
                 "seed": self.seed,
                 "include_values": self.include_values,
                 "scoring": self.scoring,
-                "padding": self.padding,
                 "mitigation": self.mitigation,
             }
         )
@@ -271,17 +259,14 @@ class SweepRequest:
     #: "auto" (default: closed-form for analytic-eligible points,
     #: simulated for the rest) | "vectorized" | "loop" | "analytic".
     scoring: str
-    #: Shared-memory padding of the simulated layout.
-    padding: int
-    #: Canonical mitigation spec; normalized with ``padding`` at parse
-    #: time (see :class:`SimulateRequest`).
+    #: Canonical mitigation spec (see :class:`SimulateRequest`).
     mitigation: str
 
     @classmethod
     def from_payload(cls, payload) -> "SweepRequest":
         payload = _require_dict(payload, "/sweep")
+        _reject_padding(payload)
         config = _resolve_config(payload)
-        padding, mitigation = _resolve_layout(payload)
         device_name = payload.get("device", "quadro-m4000")
         if not isinstance(device_name, str):
             raise ValidationError(f"'device' must be a string, got {device_name!r}")
@@ -328,8 +313,7 @@ class SweepRequest:
             score_blocks=_int_field(payload, "score_blocks", 8, minimum=1),
             seed=_int_field(payload, "seed", 0, minimum=0),
             scoring=_scoring_field(payload, DEFAULT_SCORING, allow_auto=True),
-            padding=padding,
-            mitigation=mitigation,
+            mitigation=_mitigation_field(payload),
         )
 
     def coalesce_key(self) -> str:
@@ -348,7 +332,6 @@ class SweepRequest:
                 # (not synthesized), so scoring changes the points and
                 # must split the fingerprint.
                 "scoring": self.scoring,
-                "padding": self.padding,
                 "mitigation": self.mitigation,
             }
         )

@@ -91,7 +91,6 @@ def simulate_key(request, values: np.ndarray) -> bytes:
     fields = {
         "config": config_to_obj(request.config),
         "mitigation": request.mitigation,
-        "padding": request.padding,
         "scoring": request.scoring,
         "score_blocks": request.score_blocks,
         "seed": request.seed if sampled else None,

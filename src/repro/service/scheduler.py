@@ -119,8 +119,8 @@ def split_manifest(
     A manifest may carry a scheduler-only ``mitigations`` list (e.g.
     ``["none", "padding:1", "cfree-sort"]``) to sweep the same grid
     under several layout defenses — the matrix experiment's service
-    leg. It is exclusive with the single ``mitigation`` field and with
-    a nonzero ``padding``, since each chunk carries exactly one layout.
+    leg. It is exclusive with the single ``mitigation`` field, since
+    each chunk carries exactly one layout.
     """
     if not isinstance(body, dict):
         raise ValidationError("/jobs body must be a JSON object")
@@ -147,7 +147,6 @@ def split_manifest(
         "score_blocks": request.score_blocks,  # null = score every block
         "seed": request.seed,
         "scoring": request.scoring,
-        "padding": request.padding,
     }
     chunks: list[Chunk] = []
     for mitigation in mitigations:
@@ -184,11 +183,6 @@ def _mitigations_field(body: dict) -> tuple[str, ...] | None:
     if "mitigation" in body:
         raise ValidationError(
             "'mitigations' and 'mitigation' are exclusive"
-        )
-    if body.get("padding", 0):
-        raise ValidationError(
-            "'mitigations' cannot be combined with a nonzero 'padding'; "
-            "spell the padded layout as a 'padding:N' entry instead"
         )
     specs = []
     for value in raw:

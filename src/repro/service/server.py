@@ -706,7 +706,6 @@ class ReproService:
                         config=request.config,
                         input_name=request.input_name,
                         num_elements=request.num_elements,
-                        padding=request.padding,
                         score_blocks=request.score_blocks,
                         seed=request.seed,
                         values=data,
@@ -730,7 +729,6 @@ class ReproService:
                 exact_threshold=request.exact_threshold,
                 score_blocks=request.score_blocks,
                 seed=request.seed,
-                padding=request.padding,
                 scoring=request.scoring,
                 mitigation=request.mitigation,
                 cache_dir=cache_dir,

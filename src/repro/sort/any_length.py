@@ -46,11 +46,14 @@ def sort_any_length(
     values: np.ndarray,
     config: SortConfig,
     *,
-    padding: int = 0,
+    mitigation="none",
     score_blocks: int | None = None,
     seed: int | None = 0,
 ) -> AnyLengthResult:
     """Sort an arbitrary-length input through the simulator.
+
+    ``mitigation`` selects the shared-memory layout, as for
+    :class:`~repro.sort.pairwise.PairwiseMergeSort`.
 
     Examples
     --------
@@ -68,7 +71,7 @@ def sort_any_length(
         raise ValidationError("cannot sort an empty input")
 
     padded = pad_to_tiles(values, config)
-    result = PairwiseMergeSort(config, padding=padding).sort(
+    result = PairwiseMergeSort(config, mitigation=mitigation).sort(
         padded, score_blocks=score_blocks, seed=seed
     )
     return AnyLengthResult(

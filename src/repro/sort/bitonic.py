@@ -34,7 +34,7 @@ from repro.dmm.trace import AccessTrace
 from repro.errors import ConfigurationError
 from repro.gpu.global_memory import CoalescingModel, GlobalTraffic
 from repro.mergepath.kernels import stack_warp_steps
-from repro.mitigation.registry import reconcile_mitigation
+from repro.mitigation.registry import create_mitigation
 from repro.sort.pairwise import RoundStats, SortResult
 from repro.utils.bits import ilog2, is_power_of_two
 from repro.utils.validation import check_positive_int, check_power_of_two
@@ -67,11 +67,11 @@ class BitonicSort:
     """
 
     def __init__(
-        self, block_size: int, warp_size: int = 32, *, mitigation=None
+        self, block_size: int, warp_size: int = 32, *, mitigation="none"
     ):
         self.block_size = check_power_of_two(block_size, "block_size")
         self.warp_size = check_power_of_two(warp_size, "warp_size")
-        self.mitigation = reconcile_mitigation(mitigation)
+        self.mitigation = create_mitigation(mitigation)
         if block_size < warp_size:
             raise ConfigurationError(
                 f"block_size {block_size} must be >= warp_size {warp_size}"

@@ -38,7 +38,7 @@ from repro.dmm.trace import NO_ACCESS, AccessTrace
 from repro.errors import ValidationError
 from repro.gpu.global_memory import CoalescingModel, GlobalTraffic
 from repro.mergepath.kernels import stack_warp_steps, thread_rank_addresses
-from repro.mitigation.registry import reconcile_mitigation
+from repro.mitigation.registry import create_mitigation
 from repro.sort.config import SortConfig
 from repro.sort.pairwise import (
     PairwiseMergeSort,
@@ -81,10 +81,10 @@ class MultiwaySort:
     True
     """
 
-    def __init__(self, config: SortConfig, k: int = 4, *, mitigation=None):
+    def __init__(self, config: SortConfig, k: int = 4, *, mitigation="none"):
         self.config = config
         self.k = check_power_of_two(k, "k")
-        self.mitigation = reconcile_mitigation(mitigation)
+        self.mitigation = create_mitigation(mitigation)
         if k < 2:
             raise ValidationError(f"fan-in k must be >= 2, got {k}")
 

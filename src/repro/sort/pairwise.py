@@ -223,20 +223,15 @@ class PairwiseMergeSort:
     ----------
     config:
         The sort parameters.
-    padding:
-        Dotsenko-style shared-memory padding (elements skipped per ``w``
-        logical cells — see :mod:`repro.mitigation.padding`). 0 models the
-        stock Thrust/Modern GPU layout the paper attacks; 1 is the
-        conflict-free mitigation the paper's related work discusses.
-        Legacy spelling of ``mitigation="padding:N"`` — both knobs
-        reconcile through
-        :func:`~repro.mitigation.registry.reconcile_mitigation`, and
-        disagreeing values raise.
     mitigation:
-        Shared-memory layout defense: a spec string (``"none"``,
-        ``"padding:1"``, ``"cfree-sort"``, ``"cfree-permute"``), a
-        :class:`~repro.mitigation.base.Mitigation` instance, or ``None``
-        for the registry default. Every scoring path applies the
+        Shared-memory layout defense: a spec string or a
+        :class:`~repro.mitigation.base.Mitigation` instance. ``"none"``
+        (the default) is the stock Thrust/Modern GPU layout the paper
+        attacks; ``"padding:N"`` is Dotsenko-style padding (``N``
+        elements skipped per ``w`` logical cells — see
+        :mod:`repro.mitigation.padding`); ``"cfree-sort"`` and
+        ``"cfree-permute"`` are the conflict-free layouts. Every scoring
+        path applies the
         backend's address remap before conflict counting;
         ``scoring="analytic"`` demands an analytically-modeled backend
         (``none``/``padding``) and raises a
@@ -280,27 +275,25 @@ class PairwiseMergeSort:
     def __init__(
         self,
         config: SortConfig,
-        padding: int = 0,
+        *,
         scoring: str = "vectorized",
-        mitigation=None,
+        mitigation="none",
     ):
         from repro.engine.registry import check_scoring
-        from repro.mitigation.registry import reconcile_mitigation
-        from repro.utils.validation import check_nonnegative_int
+        from repro.mitigation.registry import create_mitigation
 
         self.config = config
-        check_nonnegative_int(padding, "padding")
         # The registries are the one source of truth for scoring modes and
         # mitigation backends; the sorter takes concrete scorings ("auto"
         # routing happens a layer up, in
-        # repro.engine.registry.resolve_scoring) and reconciles the legacy
-        # padding knob with the mitigation spec in exactly one place.
+        # repro.engine.registry.resolve_scoring).
         self.scoring = check_scoring(scoring, allow_auto=False)
-        self.mitigation = reconcile_mitigation(mitigation, padding)
+        self.mitigation = create_mitigation(mitigation)
         native_pad = self.mitigation.native_padding
-        #: Effective Dotsenko pad width; 0 for layouts the padding model
-        #: cannot express (those route scoring through the explicit layout).
-        self.padding = native_pad if native_pad is not None else 0
+        #: Pad width handed to the native kernels and the analytic engine;
+        #: 0 for layouts the padding model cannot express (those route
+        #: scoring through the explicit layout).
+        self._pad = native_pad if native_pad is not None else 0
         #: The layout scoring applies; ``None`` for the identity layout,
         #: which skips the per-access call.
         self._layout = None if native_pad == 0 else self.mitigation
@@ -357,7 +350,7 @@ class PairwiseMergeSort:
             model = detect_model(arr, cfg)
             if self._analytic_engine is None:
                 self._analytic_engine = AnalyticEngine(
-                    cfg, padding=self.padding
+                    cfg, padding=self._pad
                 )
             return self._analytic_engine.sort_result(
                 model, score_blocks=score_blocks, seed=seed
@@ -609,7 +602,7 @@ class PairwiseMergeSort:
             )
         elif order is None:
             merge_report, part_report = fused_kernels.fused_block_reports(
-                flat_pre, scored, run, cfg.E, cfg.b, cfg.w, self.padding
+                flat_pre, scored, run, cfg.E, cfg.b, cfg.w, self._pad
             )
         else:
             # The (tiles, bE) rank→address map in one shot: pair base +
@@ -725,7 +718,7 @@ class PairwiseMergeSort:
             )
         elif native:
             merge_report, part_report = fused_kernels.fused_global_reports(
-                mat.reshape(-1), scored, run, cfg.E, cfg.b, cfg.w, self.padding
+                mat.reshape(-1), scored, run, cfg.E, cfg.b, cfg.w, self._pad
             )
         else:
             local, na = global_block_windows(

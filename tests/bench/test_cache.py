@@ -14,8 +14,17 @@ from repro.bench.cache import (
     rates_key,
 )
 from repro.bench.runner import CalibratedRates, SweepRunner
+from repro.engine.tasks import (
+    WorkItem,
+    cache_ref,
+    runner_for,
+    runner_key,
+    sweep_items,
+)
 from repro.gpu.device import QUADRO_M4000, RTX_2080_TI
+from repro.service.protocol import SweepRequest
 from repro.sort.config import SortConfig
+from repro.sort.serialize import config_to_obj
 
 
 def small_config(**kwargs):
@@ -26,7 +35,7 @@ def small_config(**kwargs):
 
 def make_point_key(**overrides):
     defaults = dict(
-        padding=0,
+        mitigation="none",
         input_name="worst-case",
         num_elements=3072,
         score_blocks=4,
@@ -66,7 +75,7 @@ class TestFingerprint:
             {"config": small_config(elements_per_thread=5)},
             {"config": small_config(name="other")},
             {"device": RTX_2080_TI},
-            {"padding": 1},
+            {"mitigation": "padding:1"},
             {"input_name": "random"},
             {"num_elements": 6144},
             {"score_blocks": 8},
@@ -84,7 +93,7 @@ class TestFingerprint:
         assert make_point_key()["schema"] == SCHEMA_VERSION
         assert rates_key(
             small_config(),
-            padding=0,
+            mitigation="none",
             input_name="random",
             calibration_size=768,
             score_blocks=4,
@@ -94,11 +103,11 @@ class TestFingerprint:
     def test_point_and_rates_keys_distinct(self):
         cfg = small_config()
         pk = point_key(
-            cfg, QUADRO_M4000, padding=0, input_name="random",
+            cfg, QUADRO_M4000, mitigation="none", input_name="random",
             num_elements=768, score_blocks=4, seed=0, exact_threshold=768,
         )
         rk = rates_key(
-            cfg, padding=0, input_name="random", calibration_size=768,
+            cfg, mitigation="none", input_name="random", calibration_size=768,
             score_blocks=4, seed=0,
         )
         assert fingerprint(pk) != fingerprint(rk)
@@ -125,7 +134,7 @@ class TestRoundTrip:
             global_replays=0.25,
         )
         key = rates_key(
-            small_config(), padding=0, input_name="random",
+            small_config(), mitigation="none", input_name="random",
             calibration_size=768, score_blocks=4, seed=0,
         )
         assert cache.get_rates(key) is None
@@ -393,3 +402,105 @@ class TestPrune:
     def test_missing_cache_dir_is_empty_prune(self, tmp_path):
         result = BenchCache(tmp_path / "never-created").prune(0)
         assert result.removed_entries == 0 and result.kept_entries == 0
+
+
+class TestOneLayoutOneFingerprint:
+    """A layout has one point key, one rates key and one runner key,
+    whether it comes from the Python API, a ``WorkItem`` or a parsed
+    ``/sweep`` request — so one point is cached and computed once."""
+
+    N = small_config().tile_size * 16
+    EXACT = small_config().tile_size * 64
+
+    def _keys(self, runner, item):
+        n_cal = runner._calibration_size()
+        return (
+            fingerprint(runner._point_key("worst-case", self.N)),
+            fingerprint(runner._rates_key("worst-case", n_cal)),
+            runner_key(item),
+        )
+
+    def _from_api(self, cache, mitigation):
+        runner = SweepRunner(
+            small_config(), QUADRO_M4000, exact_threshold=self.EXACT,
+            score_blocks=4, seed=0, mitigation=mitigation, cache=cache,
+        )
+        [item] = sweep_items(
+            small_config(), QUADRO_M4000, ["worst-case"], [self.N],
+            exact_threshold=self.EXACT, score_blocks=4, seed=0,
+            mitigation=runner.mitigation, cache=cache,
+        )
+        return runner, item
+
+    def _from_item(self, cache, mitigation):
+        cache_dir, use_cache = cache_ref(cache)
+        item = WorkItem(
+            config=small_config(), device=QUADRO_M4000,
+            input_name="worst-case", num_elements=self.N,
+            exact_threshold=self.EXACT, score_blocks=4, seed=0,
+            mitigation=mitigation, cache_dir=cache_dir, use_cache=use_cache,
+        )
+        return runner_for(item, {}), item
+
+    def _from_request(self, cache, mitigation):
+        """The runner the daemon builds for a ``/sweep`` body."""
+        request = SweepRequest.from_payload({
+            "config": config_to_obj(small_config()),
+            "device": QUADRO_M4000.name,
+            "inputs": ["worst-case"],
+            "sizes": [self.N],
+            "exact_threshold": self.EXACT,
+            "score_blocks": 4,
+            "seed": 0,
+            "mitigation": mitigation,
+        })
+        item = WorkItem(
+            config=request.config, device=request.device,
+            input_name=request.input_names[0],
+            num_elements=request.sizes[0],
+            exact_threshold=request.exact_threshold,
+            score_blocks=request.score_blocks, seed=request.seed,
+            scoring=request.scoring, mitigation=request.mitigation,
+            cache_dir=str(cache.cache_dir), use_cache=True,
+        )
+        return runner_for(item, {}), item
+
+    @pytest.mark.parametrize(
+        "spellings",
+        [("padding:1", "padding"), ("cfree-sort",)],
+        ids=["padding:1", "cfree-sort"],
+    )
+    def test_every_entry_point_agrees(self, tmp_path, spellings):
+        from repro.mitigation import create_mitigation
+
+        cache = BenchCache(tmp_path)
+        spec = spellings[0]
+        keys = set()
+        for spelling in spellings:
+            for build in (self._from_api, self._from_item, self._from_request):
+                runner, item = build(cache, spelling)
+                assert runner.mitigation == spec
+                assert item.mitigation == spec
+                keys.add(self._keys(runner, item))
+        runner, item = self._from_api(cache, create_mitigation(spec))
+        keys.add(self._keys(runner, item))
+        assert len(keys) == 1
+
+    def test_runner_reports_the_layout_it_simulates(self, tmp_path):
+        """The reported spec is the layout the sort runs: a padded
+        runner's points differ from the stock runner's."""
+        stock = runner_with_cache(tmp_path)
+        padded = runner_with_cache(tmp_path, mitigation="padding")
+        assert (stock.mitigation, padded.mitigation) == ("none", "padding:1")
+        n = stock.config.tile_size * 2
+        assert padded.run_point("worst-case", n) \
+            != stock.run_point("worst-case", n)
+
+    def test_layouts_split_every_key(self, tmp_path):
+        cache = BenchCache(tmp_path)
+        keys = [
+            self._keys(*self._from_api(cache, spec))
+            for spec in ("none", "padding:1", "padding:2", "cfree-sort")
+        ]
+        for column in zip(*keys):
+            assert len(set(column)) == len(keys)

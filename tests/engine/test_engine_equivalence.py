@@ -5,8 +5,8 @@ in ``tests/sort/test_pairwise_equivalence.py`` (loop vs vectorized) and
 ``tests/sort/test_analytic_equivalence.py`` (three-way): one
 parametrized matrix runs *every* engine in the registry — including the
 process-pool and service engines, which never had equivalence coverage —
-over the four constructed families, with and without shared-memory
-padding, full and sampled scoring, and asserts bit-identity with
+over the four constructed families, with the stock and the padded
+(``"padding:1"``) shared-memory layout, full and sampled scoring, and asserts bit-identity with
 ``scoring="loop"``, the original per-tile reference implementation.
 
 Alongside the sort matrix:
@@ -112,39 +112,39 @@ _ORACLE_CACHE = {}
 _MATRIX_ORACLE = {}
 
 
-def loop_oracle(input_name, *, padding, score_blocks):
+def loop_oracle(input_name, *, mitigation="none", score_blocks):
     """The reference result, cached per matrix cell across engines."""
-    key = (input_name, padding, score_blocks)
+    key = (input_name, mitigation, score_blocks)
     if key not in _ORACLE_CACHE:
         data = generate(input_name, CFG, N, seed=0)
         _ORACLE_CACHE[key] = PairwiseMergeSort(
-            CFG, padding=padding, scoring="loop"
+            CFG, scoring="loop", mitigation=mitigation
         ).sort(data, score_blocks=score_blocks, seed=0)
     return _ORACLE_CACHE[key]
 
 
 class TestSortPlanBitIdentity:
     @pytest.mark.parametrize("score_blocks", [None, 2], ids=["full", "sampled"])
-    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("mitigation", ["none", "padding:1"])
     @pytest.mark.parametrize("input_name", FAMILIES)
     @pytest.mark.parametrize("engine_name", ENGINE_NAMES)
     def test_constructed_families(
-        self, engines, engine_name, input_name, padding, score_blocks
+        self, engines, engine_name, input_name, mitigation, score_blocks
     ):
         result = engines[engine_name].run_sort(
             SortTask(
                 config=CFG,
                 input_name=input_name,
                 num_elements=N,
-                padding=padding,
                 score_blocks=score_blocks,
                 seed=0,
+                mitigation=mitigation,
             )
         )
         assert_results_identical(
             result,
             loop_oracle(
-                input_name, padding=padding, score_blocks=score_blocks
+                input_name, mitigation=mitigation, score_blocks=score_blocks
             ),
         )
 
@@ -165,7 +165,7 @@ class TestSortPlanBitIdentity:
         )
         assert_results_identical(
             result,
-            loop_oracle("random", padding=0, score_blocks=score_blocks),
+            loop_oracle("random", score_blocks=score_blocks),
         )
 
     @pytest.mark.parametrize("config_name", sorted(CONFIGS))
@@ -255,7 +255,7 @@ class TestSortPlanBitIdentity:
         for task, result in zip(tasks, batched):
             assert_results_identical(
                 result,
-                loop_oracle(task.input_name, padding=0, score_blocks=None),
+                loop_oracle(task.input_name, score_blocks=None),
             )
 
 

@@ -79,7 +79,7 @@ class TestSortInvariants:
     def test_padding_preserves_sort_and_bounds(self, setup):
         cfg, data = setup
         stock = PairwiseMergeSort(cfg).sort(data)
-        padded = PairwiseMergeSort(cfg, padding=1).sort(data)
+        padded = PairwiseMergeSort(cfg, mitigation="padding:1").sort(data)
         assert np.array_equal(padded.values, stock.values)
         # Padding is injective: access counts unchanged.
         for a, b in zip(stock.rounds, padded.rounds):

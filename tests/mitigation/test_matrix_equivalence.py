@@ -2,10 +2,10 @@
 
 Three guarantees anchor the adversary-vs-mitigation matrix:
 
-* ``mitigation="none"`` is *exactly* the legacy stock sorter — not
+* ``mitigation="none"`` is *exactly* the default stock sorter — not
   merely equal counts but bit-identical results;
-* the ``padding`` backend is *exactly* the legacy ``padding=N`` knob
-  (same ``pad_addresses`` transform, same results, across families);
+* the ``padding`` backend's remap is *exactly* the ``pad_addresses``
+  transform the analytic engine and the reference kernel apply;
 * the conflict-free layouts really are conflict free: zero excess
   replays on every constructed family, on every backend, while the
   stock layout reproduces the paper's pile-up on the same inputs.
@@ -22,11 +22,7 @@ import pytest
 from repro.errors import ValidationError
 from repro.inputs.generators import generate
 from repro.mitigation.padding import pad_addresses
-from repro.mitigation.registry import (
-    check_mitigation,
-    create_mitigation,
-    reconcile_mitigation,
-)
+from repro.mitigation.registry import create_mitigation
 from repro.service.protocol import SimulateRequest
 from repro.service.result_cache import ReplyCache, SimulateEntry, simulate_key
 from repro.sort.pairwise import PairwiseMergeSort
@@ -48,7 +44,7 @@ CFREE_SPECS = ("cfree-sort", "cfree-permute")
 CONSTRUCTED = ("worst-case", "conflict-heavy")
 
 
-def _sort(mitigation=None, *, config=CFG, data=None, name="worst-case",
+def _sort(mitigation="none", *, config=CFG, data=None, name="worst-case",
           **kwargs):
     if data is None:
         data = generate(name, config, N, seed=0)
@@ -74,14 +70,6 @@ class TestNoneIsLegacyStock:
 
 
 class TestPaddingBackendIsLegacyKnob:
-    @pytest.mark.parametrize("pad", [1, 2])
-    @pytest.mark.parametrize("name", INPUTS)
-    def test_bit_identical_per_family(self, name, pad):
-        data = generate(name, CFG, N, seed=0)
-        legacy = PairwiseMergeSort(CFG, padding=pad).sort(data)
-        routed = PairwiseMergeSort(CFG, mitigation=f"padding:{pad}").sort(data)
-        assert_results_identical(routed, legacy)
-
     @pytest.mark.parametrize("pad", [0, 1, 3])
     def test_remap_is_pad_addresses_verbatim(self, pad):
         rng = np.random.default_rng(0)
@@ -90,15 +78,6 @@ class TestPaddingBackendIsLegacyKnob:
         assert np.array_equal(
             backend.remap(dense, 16), pad_addresses(dense, 16, pad)
         )
-
-    def test_reconciliation_agrees_and_conflicts_raise(self):
-        assert reconcile_mitigation(None, 2).spec == "padding:2"
-        assert reconcile_mitigation("padding:2", 2).spec == "padding:2"
-        assert check_mitigation("padding") == "padding:1"
-        with pytest.raises(ValidationError):
-            reconcile_mitigation("padding:2", 1)
-        with pytest.raises(ValidationError):
-            reconcile_mitigation("cfree-sort", 1)
 
 
 class TestCfreeLayoutsAreConflictFree:

@@ -61,6 +61,11 @@ class TestPaddedSize:
         assert padded_shared_bytes(cfg, 1) > cfg.shared_bytes_per_block
 
 
+def padded_sorter(cfg):
+    """The sorter with one pad cell per ``w`` (the paper's mitigation)."""
+    return PairwiseMergeSort(cfg, mitigation="padding:1")
+
+
 class TestMitigationEndToEnd:
     @pytest.fixture(scope="class")
     def setup(self):
@@ -71,14 +76,14 @@ class TestMitigationEndToEnd:
 
     def test_sort_still_correct_with_padding(self, setup):
         cfg, n, perm = setup
-        result = PairwiseMergeSort(cfg, padding=1).sort(perm, score_blocks=4)
+        result = padded_sorter(cfg).sort(perm, score_blocks=4)
         assert np.array_equal(result.values, np.arange(n))
 
     def test_padding_neutralizes_adversary(self, setup):
         """The constructed input's serialization collapses under pad=1."""
         cfg, n, perm = setup
         stock = PairwiseMergeSort(cfg).sort(perm, score_blocks=4)
-        padded = PairwiseMergeSort(cfg, padding=1).sort(perm, score_blocks=4)
+        padded = padded_sorter(cfg).sort(perm, score_blocks=4)
         assert padded.total_shared_cycles() < 0.6 * stock.total_shared_cycles()
 
     def test_padded_global_rounds_near_conflict_free(self, setup):
@@ -87,7 +92,7 @@ class TestMitigationEndToEnd:
         the random-input level (~3.4·E, the balls-in-bins max load), instead
         of the stock worst case's E² = 225."""
         cfg, n, perm = setup
-        result = PairwiseMergeSort(cfg, padding=1).sort(perm, score_blocks=4)
+        result = padded_sorter(cfg).sort(perm, score_blocks=4)
         for r in result.rounds:
             if r.kind == "global":
                 warps = r.blocks_scored * cfg.warps_per_block
@@ -96,5 +101,5 @@ class TestMitigationEndToEnd:
 
     def test_padding_rejects_negative(self):
         cfg = SortConfig(elements_per_thread=3, block_size=32)
-        with pytest.raises(ValidationError):
-            PairwiseMergeSort(cfg, padding=-1)
+        with pytest.raises(ValidationError, match="padding width"):
+            PairwiseMergeSort(cfg, mitigation="padding:-1")

@@ -226,7 +226,7 @@ class TestRequestSchemas:
 
 class TestScoringAndPaddingFields:
     """Parse-time scoring validation (against the engine registry) and
-    the padding field the execution-engine refactor added to the wire."""
+    the padded layout, which the wire spells only as a mitigation spec."""
 
     def _simulate(self, **extra):
         payload = {"preset": "mgpu-maxwell", "tiles": 2}
@@ -258,20 +258,31 @@ class TestScoringAndPaddingFields:
         assert self._sweep(scoring="auto").scoring == "auto"
 
     def test_padding_defaults_to_stock_layout(self):
-        assert self._simulate().padding == 0
-        assert self._sweep().padding == 0
+        for request in (self._simulate(), self._sweep()):
+            assert request.mitigation == "none"
+            assert not hasattr(request, "padding")
 
     def test_padding_splits_coalesce_keys(self):
         assert self._simulate().coalesce_key() \
-            != self._simulate(padding=1).coalesce_key()
+            != self._simulate(mitigation="padding:1").coalesce_key()
         assert self._sweep().coalesce_key() \
-            != self._sweep(padding=1).coalesce_key()
+            != self._sweep(mitigation="padding:1").coalesce_key()
 
     def test_negative_padding_rejected(self):
-        with pytest.raises(ValidationError, match="'padding'"):
-            self._simulate(padding=-1)
-        with pytest.raises(ValidationError, match="'padding'"):
-            self._sweep(padding=-1)
+        with pytest.raises(ValidationError, match="padding width"):
+            self._simulate(mitigation="padding:-1")
+        with pytest.raises(ValidationError, match="padding width"):
+            self._sweep(mitigation="padding:-1")
+
+    @pytest.mark.parametrize("value", [0, 1, 2])
+    def test_stale_padding_field_rejected(self, value):
+        """A body still spelling the layout ``padding: N`` is a 400 that
+        names the replacement — never silently the stock layout."""
+        for parse in (self._simulate, self._sweep):
+            with pytest.raises(
+                ValidationError, match='"mitigation": "padding:N"'
+            ):
+                parse(padding=value)
 
     def test_explicit_null_score_blocks_means_score_all(self):
         assert self._simulate(score_blocks=None).score_blocks is None
@@ -280,8 +291,7 @@ class TestScoringAndPaddingFields:
 
 class TestMitigationField:
     """The ``mitigation`` wire field: parse-time validation against the
-    mitigation registry, normalization against the legacy ``padding``
-    knob, and coalesce-key hygiene."""
+    mitigation registry, canonical specs, and coalesce-key hygiene."""
 
     def _simulate(self, **extra):
         payload = {"preset": "mgpu-maxwell", "tiles": 2}
@@ -304,29 +314,22 @@ class TestMitigationField:
             self._sweep(mitigation="magic")
 
     def test_spec_is_canonicalized(self):
-        assert self._simulate(mitigation="padding").mitigation == "padding:1"
-
-    def test_legacy_padding_and_spec_normalize_identically(self):
-        """``padding: N`` and ``mitigation: "padding:N"`` must be the
-        SAME request on the wire — identical fields, identical coalesce
-        keys — or equivalent concurrent requests stop coalescing."""
-        legacy = self._simulate(padding=2)
-        spec = self._simulate(mitigation="padding:2")
-        assert (legacy.padding, legacy.mitigation) == (2, "padding:2")
-        assert (spec.padding, spec.mitigation) == (2, "padding:2")
-        assert legacy.coalesce_key() == spec.coalesce_key()
-        assert self._sweep(padding=2).coalesce_key() \
-            == self._sweep(mitigation="padding:2").coalesce_key()
-
-    def test_conflicting_layouts_rejected_at_parse_time(self):
-        with pytest.raises(ValidationError, match="conflicting layout"):
-            self._simulate(padding=2, mitigation="padding:1")
-        with pytest.raises(ValidationError, match="conflicting layout"):
-            self._sweep(padding=1, mitigation="cfree-sort")
+        """``"padding"`` and ``"padding:1"`` are one request on the wire
+        — identical fields, identical coalesce keys — or equivalent
+        concurrent requests stop coalescing."""
+        bare = self._simulate(mitigation="padding")
+        assert bare.mitigation == "padding:1"
+        assert bare.coalesce_key() \
+            == self._simulate(mitigation="padding:1").coalesce_key()
+        assert self._sweep(mitigation="padding").coalesce_key() \
+            == self._sweep(mitigation="padding:1").coalesce_key()
 
     def test_cfree_specs_carry_no_native_padding(self):
+        from repro.mitigation import create_mitigation
+
         request = self._simulate(mitigation="cfree-sort")
-        assert (request.padding, request.mitigation) == (0, "cfree-sort")
+        assert request.mitigation == "cfree-sort"
+        assert create_mitigation(request.mitigation).native_padding is None
 
     def test_mitigation_splits_coalesce_keys(self):
         assert self._simulate().coalesce_key() \

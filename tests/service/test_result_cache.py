@@ -310,7 +310,7 @@ class TestKey:
         for fields in (
             {"scoring": "fused"},
             {"mitigation": "cfree-sort"},
-            {"padding": 1},
+            {"mitigation": "padding:1"},
             {"score_blocks": 2},
         ):
             assert self.key(self.request(**fields)) != base, fields

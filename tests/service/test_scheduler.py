@@ -102,8 +102,16 @@ class TestSplitManifest:
             split_manifest(
                 manifest(mitigations=["none"], mitigation="cfree-sort")
             )
-        with pytest.raises(ValidationError, match="padding"):
-            split_manifest(manifest(mitigations=["none"], padding=1))
+
+    @pytest.mark.parametrize(
+        "extra",
+        [{"padding": 1}, {"padding": 0}, {"padding": 2, "mitigations": ["none"]}],
+    )
+    def test_stale_padding_field_rejected(self, extra):
+        """A ``/jobs`` manifest still spelling the layout ``padding: N``
+        is a 400 naming the replacement, never a stock-layout sweep."""
+        with pytest.raises(ValidationError, match='"mitigation": "padding:N"'):
+            split_manifest(manifest(**extra))
 
     def test_equivalent_manifests_produce_identical_fingerprints(self):
         """Two phrasings of the same grid (explicit config vs the same

@@ -411,12 +411,13 @@ class TestScoringAndPadding:
 
         cfg = small_config()
         data = generate("worst-case", cfg, cfg.tile_size * 2, seed=0)
-        local = PairwiseMergeSort(cfg, padding=1).sort(
+        local = PairwiseMergeSort(cfg, mitigation="padding:1").sort(
             data, score_blocks=2, seed=0
         )
         with service_factory() as box:
             reply = box.client.simulate(
-                config=cfg_obj(), tiles=2, score_blocks=2, padding=1
+                config=cfg_obj(), tiles=2, score_blocks=2,
+                mitigation="padding:1",
             )
             assert reply.sorted_ok
             assert results_identical(reply.result, local)
@@ -424,6 +425,38 @@ class TestScoringAndPadding:
                 config=cfg_obj(), tiles=2, score_blocks=2
             )
             assert not results_identical(unpadded.result, local)
+
+
+    def test_stale_padding_field_is_typed_400(self, service_factory):
+        """``padding`` left the wire: every compute endpoint answers a
+        body that still carries it with a validation 400 naming the
+        ``mitigation`` spelling — no 5xx, no stock-layout result."""
+        bodies = {
+            "/simulate": {"config": cfg_obj(), "tiles": 2, "padding": 1},
+            "/sweep": {"config": cfg_obj(), "sizes": [96], "padding": 1},
+            "/jobs": {"config": cfg_obj(), "sizes": [96], "padding": 1},
+        }
+        import http.client
+        import json
+
+        with service_factory() as box:
+            for path, body in bodies.items():
+                conn = http.client.HTTPConnection(
+                    box.client.host, box.client.port, timeout=10
+                )
+                try:
+                    conn.request("POST", path, body=json.dumps(body))
+                    response = conn.getresponse()
+                    reply = json.loads(response.read())
+                finally:
+                    conn.close()
+                assert response.status == 400, path
+                assert reply["kind"] == "validation", path
+                assert '"mitigation": "padding:N"' in reply["error"], path
+            stats = box.client.stats()
+            assert stats["responses"]["validation_errors"] == len(bodies)
+            assert stats["responses"]["internal_errors"] == 0
+            assert stats["executed"] == {"construct": 0, "simulate": 0, "sweep": 0}
 
 
 class TestMetricsEndpoint:

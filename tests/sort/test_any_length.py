@@ -48,7 +48,7 @@ class TestSortAnyLength:
 
     def test_with_padding_mitigation(self, cfg, rng):
         data = rng.permutation(77)
-        out = sort_any_length(data, cfg, padding=1)
+        out = sort_any_length(data, cfg, mitigation="padding:1")
         assert np.array_equal(out.values, np.sort(data))
 
     @settings(max_examples=40, deadline=None)

@@ -39,38 +39,44 @@ CONFIGS = {
 _ORACLE = {}
 
 
-def loop_oracle(cfg_name, input_name, n, padding, score_blocks):
+def layout(pad):
+    """The mitigation spec for Dotsenko pad width ``pad`` (0: stock)."""
+    return f"padding:{pad}" if pad else "none"
+
+
+def loop_oracle(cfg_name, input_name, n, mitigation, score_blocks):
     """Reference result, cached per cell (the loop path is the slow one)."""
-    key = (cfg_name, input_name, n, padding, score_blocks)
+    key = (cfg_name, input_name, n, mitigation, score_blocks)
     if key not in _ORACLE:
         cfg = CONFIGS[cfg_name]
         data = generate(input_name, cfg, n, seed=0)
         _ORACLE[key] = PairwiseMergeSort(
-            cfg, padding=padding, scoring="loop"
+            cfg, scoring="loop", mitigation=mitigation
         ).sort(data, score_blocks=score_blocks, seed=0)
     return _ORACLE[key]
 
 
-def fused_result(cfg_name, input_name, n, padding, score_blocks, **kwargs):
+def fused_result(cfg_name, input_name, n, mitigation, score_blocks):
     cfg = CONFIGS[cfg_name]
     data = generate(input_name, cfg, n, seed=0)
     return PairwiseMergeSort(
-        cfg, padding=padding, scoring="fused", **kwargs
+        cfg, scoring="fused", mitigation=mitigation
     ).sort(data, score_blocks=score_blocks, seed=0)
 
 
 class TestFusedMatchesLoop:
     @pytest.mark.parametrize("score_blocks", [None, 2], ids=["full", "sampled"])
-    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("pad", [0, 1])
     @pytest.mark.parametrize("input_name", FAMILIES)
     @pytest.mark.parametrize("cfg_name", sorted(CONFIGS))
     def test_constructed_families(
-        self, cfg_name, input_name, padding, score_blocks
+        self, cfg_name, input_name, pad, score_blocks
     ):
         n = CONFIGS[cfg_name].tile_size * 8
+        mitigation = layout(pad)
         assert_results_identical(
-            fused_result(cfg_name, input_name, n, padding, score_blocks),
-            loop_oracle(cfg_name, input_name, n, padding, score_blocks),
+            fused_result(cfg_name, input_name, n, mitigation, score_blocks),
+            loop_oracle(cfg_name, input_name, n, mitigation, score_blocks),
         )
 
     @pytest.mark.parametrize("tiles", [1, 4], ids=["one-tile", "global-rounds"])
@@ -79,8 +85,8 @@ class TestFusedMatchesLoop:
         reconstruction path at all), four tiles = both round kinds."""
         n = CONFIGS["small-e"].tile_size * tiles
         assert_results_identical(
-            fused_result("small-e", "random", n, 0, None),
-            loop_oracle("small-e", "random", n, 0, None),
+            fused_result("small-e", "random", n, "none", None),
+            loop_oracle("small-e", "random", n, "none", None),
         )
 
     def test_sampled_rng_draw_order(self):
@@ -113,7 +119,7 @@ class TestFusedMatchesSiblings:
         with counting_every_row():
             rv = PairwiseMergeSort(cfg).sort(data, seed=0)
         assert_results_identical(
-            fused_result("small-e", input_name, n, 0, None), rv
+            fused_result("small-e", input_name, n, "none", None), rv
         )
 
     def test_memoized(self):
@@ -127,7 +133,7 @@ class TestFusedMatchesSiblings:
             lambda: rm.append(PairwiseMergeSort(cfg).sort(data, seed=0))
         )
         assert_results_identical(
-            fused_result("small-e", "worst-case", n, 0, None), rm[0]
+            fused_result("small-e", "worst-case", n, "none", None), rm[0]
         )
 
 
@@ -148,11 +154,12 @@ class TestBackendToggle:
         if dmm_fused.native_module() is None:
             pytest.skip("compiled extension not built")
         n = CONFIGS["b-equals-w"].tile_size * 8
+        cell = ("b-equals-w", "worst-case", n, "padding:1", 2)
         monkeypatch.setenv(dmm_fused.FORCE_NUMPY_ENV, "1")
-        numpy_result = fused_result("b-equals-w", "worst-case", n, 1, 2)
+        numpy_result = fused_result(*cell)
         monkeypatch.delenv(dmm_fused.FORCE_NUMPY_ENV)
         assert dmm_fused.active_backend() == "native"
-        native_result = fused_result("b-equals-w", "worst-case", n, 1, 2)
+        native_result = fused_result(*cell)
         assert_results_identical(native_result, numpy_result)
 
     def test_values_sorted(self):

@@ -29,12 +29,11 @@ from tests.engine.comparison import (
 )
 
 
-def run_three(config, data, *, score_blocks=None, seed=0, padding=0):
+def run_three(config, data, *, score_blocks=None, seed=0, mitigation="none"):
     """One sort per scoring path: default, every row counted, loop."""
     def sort(**kwargs):
-        return PairwiseMergeSort(config, padding=padding, **kwargs).sort(
-            data, score_blocks=score_blocks, seed=seed
-        )
+        sorter = PairwiseMergeSort(config, mitigation=mitigation, **kwargs)
+        return sorter.sort(data, score_blocks=score_blocks, seed=seed)
 
     default = sort()
     with counting_every_row():
@@ -46,15 +45,18 @@ class TestMemoizedSampling:
     @pytest.mark.parametrize("score_blocks", [1, 2, 3])
     def test_sampled_rounds_share_rng_draws(self, score_blocks):
         """Sampled rounds reuse counts over the scored tiles only and
-        draw the same blocks as the other paths."""
+        draw the same blocks as the other paths, on the stock and the
+        padded layout."""
         cfg = CONFIGS["small-e"]
         for name in ("random", "worst-case"):
             data = generate(name, cfg, cfg.tile_size * 16, seed=3)
-            default, every_row, loop = run_three(
-                cfg, data, score_blocks=score_blocks, seed=777
-            )
-            assert_results_identical(default, every_row)
-            assert_results_identical(default, loop)
+            for mitigation in ("none", "padding:1"):
+                default, every_row, loop = run_three(
+                    cfg, data, score_blocks=score_blocks, seed=777,
+                    mitigation=mitigation,
+                )
+                assert_results_identical(default, every_row)
+                assert_results_identical(default, loop)
 
 
 class TestWarmMemo:

@@ -26,11 +26,11 @@ from tests.engine.comparison import (  # noqa: F401  (re-exported for callers)
 )
 
 
-def run_both(config, data, *, score_blocks=None, seed=0, padding=0):
-    rv = PairwiseMergeSort(config, padding=padding, scoring="vectorized").sort(
-        data, score_blocks=score_blocks, seed=seed
-    )
-    rl = PairwiseMergeSort(config, padding=padding, scoring="loop").sort(
+def run_both(config, data, *, score_blocks=None, seed=0, mitigation="none"):
+    rv = PairwiseMergeSort(
+        config, scoring="vectorized", mitigation=mitigation
+    ).sort(data, score_blocks=score_blocks, seed=seed)
+    rl = PairwiseMergeSort(config, scoring="loop", mitigation=mitigation).sort(
         data, score_blocks=score_blocks, seed=seed
     )
     return rv, rl
@@ -56,7 +56,7 @@ class TestRoundStructure:
         padding rows never reach it — pin it here."""
         cfg = CONFIGS["small-e"]
         data = generate("conflict-heavy", cfg, cfg.tile_size * 4, seed=9)
-        assert_results_identical(*run_both(cfg, data, padding=1))
+        assert_results_identical(*run_both(cfg, data, mitigation="padding:1"))
 
 
 class TestSampledScoringEquivalence:
@@ -80,7 +80,7 @@ class TestSampledScoringEquivalence:
         cfg = CONFIGS["pow2-e"]
         data = generate("sawtooth", cfg, cfg.tile_size * 8, seed=0)
         assert_results_identical(
-            *run_both(cfg, data, score_blocks=2, seed=55, padding=1)
+            *run_both(cfg, data, score_blocks=2, seed=55, mitigation="padding:1")
         )
 
 

@@ -232,7 +232,7 @@ class TestCachePruneCli:
         for tiles in (2, 4):
             n = cfg.tile_size * tiles
             key = point_key(
-                cfg, QUADRO_M4000, padding=0, input_name="worst-case",
+                cfg, QUADRO_M4000, mitigation="none", input_name="worst-case",
                 num_elements=n, score_blocks=4, seed=0,
                 exact_threshold=cfg.tile_size * 8,
             )
