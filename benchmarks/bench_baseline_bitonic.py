@@ -95,7 +95,8 @@ def test_bitonic_matrix_row(benchmark):
         iqr_seconds=stats.iqr,
         n=result.num_elements,
         cells=len(result.cells),
-        backend="bitonic",
+        sorter="bitonic",
+        backend="numpy",
     )
     record(
         f"Matrix bitonic row (N={result.num_elements:,}): "

@@ -125,7 +125,8 @@ def test_multiway_matrix_row(benchmark):
         iqr_seconds=stats.iqr,
         n=result.num_elements,
         cells=len(result.cells),
-        backend="multiway",
+        sorter="multiway",
+        backend="numpy",
     )
     record(
         f"Matrix multiway row (N={result.num_elements:,}): worst-case "

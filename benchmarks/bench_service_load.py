@@ -28,6 +28,7 @@ from types import SimpleNamespace
 
 from conftest import record, record_timing
 
+from repro.dmm.fused import active_backend
 from repro.errors import BackpressureError
 from repro.service.client import ServiceClient
 from repro.service.server import ServiceConfig, run_service
@@ -254,4 +255,6 @@ def test_service_load(benchmark):
         coalesce_rate=round(rate, 4),
         cached=cached,
         wall_seconds=round(state["wall"], 3),
+        # The daemon's "auto" scoring routes simulated sorts to fused.
+        backend=active_backend(),
     )

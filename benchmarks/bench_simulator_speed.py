@@ -20,6 +20,7 @@ import time
 import numpy as np
 from conftest import record, record_timing
 
+from repro.dmm import fused as dmm_fused
 from repro.inputs.generators import generate
 from repro.sort.pairwise import PairwiseMergeSort
 from repro.sort.presets import THRUST_MAXWELL
@@ -65,7 +66,11 @@ def test_exact_simulation_speed(benchmark):
     assert np.array_equal(result.values, np.sort(data))
     record(f"Harness exact simulation: N={n:,} fully traced")
     record_timing(
-        "exact_vectorized", **_timing_kwargs(benchmark), n=n, scoring="vectorized"
+        "exact_vectorized",
+        **_timing_kwargs(benchmark),
+        n=n,
+        scoring="vectorized",
+        backend="numpy",
     )
 
 
@@ -78,7 +83,13 @@ def test_exact_simulation_speed_loop_reference(benchmark):
     result = benchmark.pedantic(lambda: sorter.sort(data), rounds=3, iterations=1)
     assert np.array_equal(result.values, np.sort(data))
     record(f"Harness exact simulation (loop reference): N={n:,} fully traced")
-    record_timing("exact_loop", **_timing_kwargs(benchmark), n=n, scoring="loop")
+    record_timing(
+        "exact_loop",
+        **_timing_kwargs(benchmark),
+        n=n,
+        scoring="loop",
+        backend="numpy",
+    )
 
 
 def test_sampled_simulation_speed(benchmark):
@@ -96,6 +107,7 @@ def test_sampled_simulation_speed(benchmark):
         n=n,
         score_blocks=8,
         scoring="vectorized",
+        backend="numpy",
     )
 
 
@@ -113,8 +125,6 @@ def test_exact_fused_speed(benchmark):
     """The fused engine on the exact workload. The in-run ratio against
     the loop oracle compares medians of interleaved passes; the committed
     ``exact_fused`` baseline row is what ``check_regression`` gates."""
-    from repro.dmm import fused as dmm_fused
-
     n = THRUST_MAXWELL.tile_size * 16
     data = generate("random", THRUST_MAXWELL, n, seed=0)
     loop = PairwiseMergeSort(THRUST_MAXWELL, scoring="loop")
@@ -149,8 +159,6 @@ def test_sampled_fused_speed(benchmark):
     """Fused engine, sampled workload (the sweep regime). The in-run
     ratio against the loop oracle compares medians of interleaved
     passes."""
-    from repro.dmm import fused as dmm_fused
-
     n = THRUST_MAXWELL.tile_size * 128
     data = generate("random", THRUST_MAXWELL, n, seed=0)
     loop = PairwiseMergeSort(THRUST_MAXWELL, scoring="loop")
@@ -235,6 +243,7 @@ def test_sweep_exact_speed(benchmark):
         sizes=len(sizes),
         inputs=list(inputs),
         max_n=max(sizes),
+        backend="numpy",
     )
 
 
@@ -287,6 +296,8 @@ def test_sweep_sampled_speed(benchmark):
         inputs=list(inputs),
         max_n=max(sizes),
         exact_threshold=THRUST_MAXWELL.tile_size * SAMPLED_SWEEP_THRESHOLD_TILES,
+        # The default runner's "auto" scoring routes these inputs to fused.
+        backend=dmm_fused.active_backend(),
     )
 
 
@@ -337,6 +348,7 @@ def test_sweep_analytic_speed(benchmark):
         sizes=len(sizes),
         inputs=list(inputs),
         max_n=max(sizes),
+        backend="numpy",
     )
     # Acceptance floor for the closed form. Median against median it
     # measured 114–181x, so the floor leaves little room; the ~1000x once
@@ -348,7 +360,8 @@ def test_sweep_analytic_speed(benchmark):
 
 def test_construction_speed(benchmark):
     """The un-merge cascade at paper scale: one composed window-local
-    index, O(N) over all levels, and one gather of the values."""
+    index, O(N) over all levels. With the default keys ``arange(N)`` the
+    index is the permutation, so no values are gathered."""
     from repro.adversary.permutation import worst_case_permutation
 
     n = THRUST_MAXWELL.tile_size * 128
@@ -360,7 +373,12 @@ def test_construction_speed(benchmark):
     )
     assert perm.size == n
     record(f"Harness worst-case construction: N={n:,}")
-    record_timing("construction", **_timing_kwargs(benchmark), n=n)
+    record_timing(
+        "construction",
+        **_timing_kwargs(benchmark),
+        n=n,
+        backend="numpy",
+    )
 
 
 def test_sampled_verify_speed(benchmark):
@@ -370,7 +388,9 @@ def test_sampled_verify_speed(benchmark):
     ``vectorized`` scoring never dispatches to the compiled backend), so
     this row tracks sampled rounds that sort values and argsort only what
     they score: the scored tiles' pair rows in block rounds, the scored
-    blocks' merge windows in global rounds.
+    blocks' merge windows in global rounds. The sort is merge-only
+    (``partitions=False``): the theorems bound the merge stage, so no β₁
+    probe is counted.
     """
     from repro.adversary.permutation import worst_case_permutation
     from repro.adversary.verify import verify_worst_case

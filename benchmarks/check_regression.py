@@ -30,6 +30,15 @@ check fails. CI requires the engine-critical rows
 execution-engine change can neither slow them past the threshold nor
 un-measure them.
 
+Every row names the ``backend`` it ran on (``"native"`` for the compiled
+scoring kernels, ``"numpy"`` otherwise). A timing is only comparable to
+a baseline measured on the same backend: a numpy baseline would pass a
+large native slowdown, and a native baseline would fail every numpy run.
+So a row whose backend differs from its baseline's is warned about and
+not gated, and a ``--require``\ d row fails when either document names
+no backend or the two differ. CI therefore gates numpy rows in a
+``REPRO_FORCE_NUMPY=1`` run and native rows on the native build.
+
 Each document records the Python version it was measured under. A
 mismatch (e.g. a 3.11-recorded baseline gated on a 3.12 CI runner) does
 not fail the check by itself — interpreter speed differences are part of
@@ -66,6 +75,14 @@ def _seconds(entry) -> float | None:
     return float(value)
 
 
+def _backend(entry) -> str | None:
+    """The entry's ``backend`` label, or ``None`` when it names none."""
+    if not isinstance(entry, dict):
+        return None
+    value = entry.get("backend")
+    return value if isinstance(value, str) and value else None
+
+
 def _noise_note(entry: dict) -> str:
     """Optional min/IQR annotation for one timing entry."""
     parts = []
@@ -94,6 +111,14 @@ def compare(
             print(
                 f"  WARNING: {name}: malformed {side} entry (no numeric "
                 f"'seconds') — skipped, not gated",
+                file=sys.stderr,
+            )
+            continue
+        if _backend(current[name]) != _backend(baseline[name]):
+            print(
+                f"  WARNING: {name}: measured on backend "
+                f"{_backend(current[name])}, baseline on "
+                f"{_backend(baseline[name])} — skipped, not gated",
                 file=sys.stderr,
             )
             continue
@@ -169,6 +194,7 @@ def main(argv: list[str] | None = None) -> int:
         if name.strip()
     ]
     for name in required:
+        backends = []
         for side, timings in (
             ("current", current_doc["timings"]),
             ("baseline", baseline_doc["timings"]),
@@ -182,6 +208,18 @@ def main(argv: list[str] | None = None) -> int:
                     f"{name}: required row malformed in the {side} document "
                     "(no numeric 'seconds')"
                 )
+            elif _backend(timings[name]) is None:
+                failures.append(
+                    f"{name}: required row names no backend in the {side} "
+                    "document"
+                )
+            else:
+                backends.append(_backend(timings[name]))
+        if len(backends) == 2 and backends[0] != backends[1]:
+            failures.append(
+                f"{name}: required row measured on backend {backends[0]}, "
+                f"but its baseline was recorded on {backends[1]}"
+            )
     if not set(current_doc["timings"]) & set(baseline_doc["timings"]):
         print("no overlapping timings — nothing gated", file=sys.stderr)
     if failures:

@@ -41,6 +41,7 @@ def record_timing(
     name: str,
     seconds: float,
     *,
+    backend: str,
     min_seconds: float | None = None,
     iqr_seconds: float | None = None,
     **extra,
@@ -48,12 +49,17 @@ def record_timing(
     """Record one named harness timing for the JSON trajectory document.
 
     ``seconds`` should be a robust statistic (the benchmark median).
+    ``backend`` names what ran the timed code: ``"native"`` when it
+    dispatched to the compiled scoring kernels (``fused`` scoring, or
+    ``auto`` routed to it, with the extension live), else ``"numpy"``;
+    the regression gate compares a row only with a baseline row of the
+    same backend.
     ``min_seconds`` and ``iqr_seconds`` carry the distribution's floor and
     spread so ``check_regression.py`` can tell a real slowdown (min moved)
     from a noisy runner (median moved, min stable, wide IQR). ``extra``
     fields (problem size, scoring mode, …) are stored verbatim.
     """
-    entry = {"seconds": round(float(seconds), 6)}
+    entry = {"seconds": round(float(seconds), 6), "backend": backend}
     if min_seconds is not None:
         entry["min_seconds"] = round(float(min_seconds), 6)
     if iqr_seconds is not None:

@@ -23,7 +23,7 @@ from repro.adversary.interleave import round_interleave
 from repro.errors import ValidationError
 from repro.sort.config import SortConfig
 
-__all__ = ["unmerge_through_rounds", "worst_case_permutation"]
+__all__ = ["unmerge_index", "unmerge_through_rounds", "worst_case_permutation"]
 
 
 def worst_case_permutation(
@@ -68,15 +68,16 @@ def worst_case_permutation(
     if assignment is None:
         assignment = construct_warp_assignment(config.w, config.E)
     if values is None:
-        values = np.arange(n, dtype=np.int64)
-    else:
-        values = np.asarray(values)
-        if values.shape != (n,):
-            raise ValidationError(
-                f"values must have shape ({n},), got {values.shape}"
-            )
-        if values.size > 1 and np.any(values[1:] <= values[:-1]):
-            raise ValidationError("values must be strictly increasing")
+        # Permuting arange(N) would gather it through the index: the
+        # index itself is the permutation.
+        return unmerge_index(config, n, assignment).astype(np.int64, copy=False)
+    values = np.asarray(values)
+    if values.shape != (n,):
+        raise ValidationError(
+            f"values must have shape ({n},), got {values.shape}"
+        )
+    if values.size > 1 and np.any(values[1:] <= values[:-1]):
+        raise ValidationError("values must be strictly increasing")
     return unmerge_through_rounds(config, values, assignment)
 
 
@@ -90,6 +91,32 @@ def unmerge_through_rounds(
 ) -> np.ndarray:
     """Apply the un-merge cascade from run length ``N`` down to ``E``.
 
+    Returns ``sorted_values`` gathered through :func:`unmerge_index`,
+    called with the same arguments: the cascade is a value-independent
+    position permutation.
+    """
+    values = np.asarray(sorted_values).reshape(-1)
+    composed = unmerge_index(
+        config, values.size, assignment, target_runs, off_target, seed
+    )
+    if values.dtype == composed.dtype:
+        # The one gather of the values can reuse the index buffer.
+        return np.take(values, composed, out=composed, mode="clip")
+    return values.take(composed)
+
+
+def unmerge_index(
+    config: SortConfig,
+    num_elements: int,
+    assignment: WarpAssignment,
+    target_runs: set[int] | None = None,
+    off_target: str = "sorted",
+    seed=0,
+) -> np.ndarray:
+    """The un-merge cascade from run length ``N`` down to ``E``, as an
+    ``intp`` index: position ``i`` of the constructed input holds sorted
+    rank ``index[i]``.
+
     At each level, every merged run of length ``2L`` is split into its two
     pre-merge halves (``A`` in the first ``L`` slots, ``B`` in the second —
     the in-memory layout the next-lower round reads). All pairs of a level
@@ -98,8 +125,9 @@ def unmerge_through_rounds(
     to every ``2L`` window, and the levels below act identically on both
     halves of it. The whole cascade is therefore one window-local index,
     composed bottom-up as ``q ← idx_L[concat(q, q + L)]`` — ``O(N)`` work in
-    total, since level ``L`` touches ``2L`` entries — and one gather of the
-    values at the end: a value-independent position permutation.
+    total, since level ``L`` touches ``2L`` entries. Permuting keys is one
+    gather through it (:func:`unmerge_through_rounds`); for keys
+    ``arange(N)`` the index is the input itself.
 
     ``target_runs`` restricts the adversarial interleaving to specific run
     lengths — this is how partial adversaries like the Karsin-style
@@ -119,8 +147,7 @@ def unmerge_through_rounds(
             f"off_target must be 'sorted' or 'random', got {off_target!r}"
         )
     rng = as_generator(seed)
-    values = np.asarray(sorted_values).reshape(-1)
-    n = values.size
+    n = num_elements
     # Patterns are drawn top-down (largest run first), which keeps the
     # order of the "random" off-target draws; composition runs bottom-up.
     patterns: list[np.ndarray] = []
@@ -136,7 +163,7 @@ def unmerge_through_rounds(
         patterns.append(pattern)
         run //= 2
     if not patterns:
-        return values.copy()
+        return np.arange(n, dtype=np.intp)
     if patterns[0].size != n or any(
         upper.size != 2 * lower.size for upper, lower in zip(patterns, patterns[1:])
     ):
@@ -161,7 +188,4 @@ def unmerge_through_rounds(
         upper = composed[half : pattern.size]
         np.take(np.flatnonzero(~pattern), q, out=upper, mode="clip")
         np.take(np.flatnonzero(pattern), q, out=q, mode="clip")
-    if values.dtype == composed.dtype:
-        # The one gather of the values can reuse the index buffer too.
-        return np.take(values, composed, out=composed, mode="clip")
-    return values.take(composed)
+    return composed

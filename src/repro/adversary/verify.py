@@ -89,7 +89,10 @@ def verify_worst_case(
 
     Runs the instrumented sort and compares every constructible round's
     per-warp serialized merge cycles to the Theorem 3 / Theorem 9
-    prediction.
+    prediction. The theorems bound the merge stage only, so the sort runs
+    merge-only (``partitions=False``): the partition-stage (β₁) probes,
+    which no verdict reads, are not counted. The sorted output is still
+    checked against ``np.sort``.
 
     Examples
     --------
@@ -107,7 +110,7 @@ def verify_worst_case(
     values = np.asarray(values)
     n = config.validate_input_size(values.size)
     result = PairwiseMergeSort(config).sort(
-        values, score_blocks=score_blocks
+        values, score_blocks=score_blocks, partitions=False
     )
     sorted_ok = bool(np.array_equal(result.values, np.sort(values)))
 

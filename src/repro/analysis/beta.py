@@ -43,8 +43,8 @@ def betas_from_result(result: SortResult) -> BetaEstimate:
     for r in result.rounds:
         merge_cycles += r.merge_report.total_transactions * r.scale
         merge_steps += r.merge_report.conflict_free_cycles * r.scale
-        part_cycles += r.partition_report.total_transactions * r.scale
-        part_steps += r.partition_report.conflict_free_cycles * r.scale
+        part_cycles += r.counted_partition_report.total_transactions * r.scale
+        part_steps += r.counted_partition_report.conflict_free_cycles * r.scale
     beta1 = part_cycles / part_steps - 1.0 if part_steps else 0.0
     beta2 = merge_cycles / merge_steps - 1.0 if merge_steps else 0.0
     return BetaEstimate(beta1=beta1, beta2=beta2)

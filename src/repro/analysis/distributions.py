@@ -93,7 +93,9 @@ def step_cost_distribution(
     for r in result.rounds:
         if r.kind not in kinds:
             continue
-        report = r.merge_report if stage == "merge" else r.partition_report
+        report = (
+            r.merge_report if stage == "merge" else r.counted_partition_report
+        )
         per_step.append(report.per_step_transactions)
     if not per_step:
         return StepCostDistribution(counts=np.zeros(1, dtype=np.int64))

@@ -30,7 +30,7 @@ from repro.engine.registry import (
     register_engine,
     resolve_scoring,
 )
-from repro.engine.tasks import ProgressEvent, execute_item
+from repro.engine.tasks import ProgressEvent, RunnerTable, execute_item
 from repro.inputs.generators import generate
 
 __all__ = ["InlineEngine"]
@@ -59,14 +59,18 @@ class InlineEngine(ExecutionEngine):
         self.scoring = scoring
         self.cache = cache
         self._sorters: dict[tuple, object] = {}
-        self._runners: dict[str, object] = {}
+        self._runners = RunnerTable()
 
     # -- sort plans ----------------------------------------------------------
 
     def _sorter_for(self, config, scoring: str, mitigation: str = "none"):
+        from repro.mitigation.registry import create_mitigation
         from repro.sort.pairwise import PairwiseMergeSort
 
-        key = (config, scoring, mitigation)
+        # Keyed on the canonical spec: "padding" and "padding:1" are one
+        # layout, so they share one sorter.
+        mitigation = create_mitigation(mitigation)
+        key = (config, scoring, mitigation.spec)
         sorter = self._sorters.get(key)
         if sorter is None:
             sorter = PairwiseMergeSort(

@@ -33,14 +33,19 @@ from repro.engine.registry import (
     check_scoring,
     register_engine,
 )
-from repro.engine.tasks import ProgressEvent, WorkItem, execute_item
+from repro.engine.tasks import (
+    ProgressEvent,
+    RunnerTable,
+    WorkItem,
+    execute_item,
+)
 from repro.errors import ValidationError
 
 __all__ = ["PoolEngine"]
 
 
 #: Per-worker warm state (each worker process gets its own copies).
-_WORKER_RUNNERS: dict = {}
+_WORKER_RUNNERS = RunnerTable()
 _WORKER_ENGINES: dict = {}
 
 

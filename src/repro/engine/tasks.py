@@ -20,7 +20,9 @@ collided (regression-tested in ``tests/bench/test_parallel.py``).
 from __future__ import annotations
 
 import dataclasses
+import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -35,7 +37,9 @@ if TYPE_CHECKING:  # pragma: no cover - runtime imports stay lazy so this
     from repro.sort.config import SortConfig
 
 __all__ = [
+    "MAX_RUNNERS",
     "ProgressEvent",
+    "RunnerTable",
     "WorkItem",
     "cache_ref",
     "execute_item",
@@ -144,6 +148,37 @@ def sweep_items(
 
 
 # -- per-item execution core ------------------------------------------------
+
+#: Warm runners one :class:`RunnerTable` keeps. A :func:`runner_key`
+#: includes the seed, so a long-lived process serving fresh-seed sweeps
+#: would otherwise keep one runner (and its calibrations) per request.
+MAX_RUNNERS = 32
+
+
+class RunnerTable(OrderedDict):
+    """A runner table holding the :data:`MAX_RUNNERS` most recently used
+    runners; storing one more drops the least recently used.
+
+    The daemon's executor threads share one table, so lookups and stores
+    hold a lock: a lookup's recency update must not race an eviction.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self._lock = threading.Lock()
+
+    def get(self, key, default=None):
+        with self._lock:
+            if key in self:
+                self.move_to_end(key)
+            return super().get(key, default)
+
+    def __setitem__(self, key, value):
+        with self._lock:
+            super().__setitem__(key, value)
+            self.move_to_end(key)
+            while len(self) > MAX_RUNNERS:
+                self.popitem(last=False)
 
 
 def runner_key(item: WorkItem) -> str:

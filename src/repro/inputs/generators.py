@@ -85,18 +85,19 @@ def conflict_heavy_input(
     itself a result the benches report.
     """
     from repro.adversary.assignment import construct_warp_assignment
-    from repro.adversary.permutation import unmerge_through_rounds
+    from repro.adversary.permutation import unmerge_index
 
     n = config.validate_input_size(num_elements)
     assignment = construct_warp_assignment(config.w, config.E)
-    return unmerge_through_rounds(
+    # The cascade's index is the permutation of arange(N) itself.
+    return unmerge_index(
         config,
-        np.arange(n, dtype=np.int64),
+        n,
         assignment,
         target_runs={n // 2, n // 4},
         off_target="random",
         seed=seed,
-    )
+    ).astype(np.int64, copy=False)
 
 
 def worst_case_input(

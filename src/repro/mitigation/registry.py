@@ -76,8 +76,11 @@ def create_mitigation(
         from repro.mitigation.padding import PaddingMitigation
 
         width = 1 if param is None else _pad_width(param, spec, field)
-        return PaddingMitigation(width)
-    if param is not None:
+        if width:
+            return PaddingMitigation(width)
+        # Zero padding is the stock layout: one spec, one fingerprint.
+        name = "none"
+    elif param is not None:
         raise ValidationError(
             f"{field} backend {name!r} takes no parameter; got {spec!r}"
         )
@@ -98,7 +101,7 @@ def check_mitigation(value: str, *, field: str = "mitigation") -> str:
     """Validate a spec string, returning its canonical form.
 
     Canonicalization matters for fingerprints: ``"padding"`` becomes
-    ``"padding:1"`` so the wire form and the cache key agree on one
-    spelling per layout.
+    ``"padding:1"`` and ``"padding:0"`` becomes ``"none"``, so the wire
+    form and the cache key agree on one spelling per layout.
     """
     return create_mitigation(value, field=field).spec

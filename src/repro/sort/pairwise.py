@@ -51,7 +51,7 @@ Implementation notes (why this is fast enough to sweep):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -95,14 +95,18 @@ class RoundStats:
     ``merge_report`` / ``partition_report`` cover only the ``blocks_scored``
     sampled tiles; multiply by :attr:`scale` for whole-round estimates.
     ``staging_report`` (register load/store, base phase only) is already
-    whole-round exact.
+    whole-round exact. ``partition_report`` is ``None`` in a merge-only
+    result (``sort(..., partitions=False)``), whose β₁ probes were never
+    counted: the cycle counts and :attr:`partition_replays` then raise
+    instead of undercounting, and :attr:`replays` counts the merge and
+    staging stages only.
     """
 
     label: str
     kind: str  # "registers" | "block" | "global"
     run_length: int
     merge_report: ConflictReport
-    partition_report: ConflictReport
+    partition_report: ConflictReport | None
     staging_report: ConflictReport
     global_traffic: GlobalTraffic
     compute_instructions: int
@@ -124,11 +128,21 @@ class RoundStats:
         return self.blocks_total / self.blocks_scored
 
     @property
+    def counted_partition_report(self) -> ConflictReport:
+        """``partition_report``; raises for a merge-only round."""
+        if self.partition_report is None:
+            raise SimulationError(
+                f"round {self.label!r} was sorted with partitions=False; "
+                "its partition-stage (β₁) probes were not counted"
+            )
+        return self.partition_report
+
+    @property
     def shared_cycles(self) -> float:
         """Estimated serialized shared-memory cycles for the whole round."""
         traced = (
             self.merge_report.total_transactions
-            + self.partition_report.total_transactions
+            + self.counted_partition_report.total_transactions
         )
         return traced * self.scale + self.staging_report.total_transactions
 
@@ -137,16 +151,17 @@ class RoundStats:
         """Conflict-free cycle count for the same accesses."""
         traced = (
             self.merge_report.conflict_free_cycles
-            + self.partition_report.conflict_free_cycles
+            + self.counted_partition_report.conflict_free_cycles
         )
         return traced * self.scale + self.staging_report.conflict_free_cycles
 
     @property
     def replays(self) -> float:
-        """Estimated profiler-style bank conflicts for the whole round."""
-        traced = (
-            self.merge_report.total_replays + self.partition_report.total_replays
-        )
+        """Estimated profiler-style bank conflicts for the whole round
+        (of its merge and staging stages only, in a merge-only round)."""
+        traced = self.merge_report.total_replays
+        if self.partition_report is not None:
+            traced += self.partition_report.total_replays
         return traced * self.scale + self.staging_report.total_replays
 
     @property
@@ -157,7 +172,7 @@ class RoundStats:
     @property
     def partition_replays(self) -> float:
         """Whole-round partition-stage (β₁) conflicts."""
-        return self.partition_report.total_replays * self.scale
+        return self.counted_partition_report.total_replays * self.scale
 
 
 @dataclass
@@ -324,6 +339,7 @@ class PairwiseMergeSort:
         *,
         score_blocks: int | None = None,
         seed: int | None = 0,
+        partitions: bool = True,
     ) -> SortResult:
         """Sort ``values``, recording full instrumentation.
 
@@ -336,6 +352,15 @@ class PairwiseMergeSort:
             (deterministically spread via ``seed``); ``None`` traces all.
         seed:
             Seed for the sampled-block selection.
+        partitions:
+            ``False`` skips counting the partition-stage (β₁) probes and
+            returns a *merge-only* result: values, merge reports, staging
+            and traffic equal the full sort's, but every round's
+            ``partition_report`` is ``None``, so ``shared_cycles``,
+            ``kernel_cost`` and ``result_to_obj`` raise instead of
+            undercounting, and replay totals count the merge and staging
+            stages only. For callers that read only the merge stage
+            (:func:`~repro.adversary.verify.verify_worst_case`).
         """
         cfg = self.config
         arr = np.ascontiguousarray(values)
@@ -352,9 +377,10 @@ class PairwiseMergeSort:
                 self._analytic_engine = AnalyticEngine(
                     cfg, padding=self._pad
                 )
-            return self._analytic_engine.sort_result(
+            result = self._analytic_engine.sort_result(
                 model, score_blocks=score_blocks, seed=seed
             )
+            return result if partitions else _merge_only(result)
         rng = as_generator(seed)
 
         result = SortResult(values=arr, config=cfg, num_elements=n)
@@ -372,13 +398,15 @@ class PairwiseMergeSort:
         ):
             # Sampled block rounds read only their scored tiles, so only
             # those are merged (see _sampled_block_rounds).
-            arr = self._sampled_block_rounds(arr, result, score_blocks, rng)
+            arr = self._sampled_block_rounds(
+                arr, result, score_blocks, rng, partitions
+            )
             run = cfg.tile_size
         scratch = None
         while run < n:
             prev = arr
             arr, used_scratch = self._merge_round(
-                arr, run, result, score_blocks, rng, scratch
+                arr, run, result, score_blocks, rng, partitions, scratch
             )
             # Native rounds ping-pong two per-sort buffers instead of
             # faulting in a fresh output array every round; the retired
@@ -387,7 +415,7 @@ class PairwiseMergeSort:
             run *= 2
 
         result.values = arr
-        return result
+        return result if partitions else _merge_only(result)
 
     # -- phases ----------------------------------------------------------
 
@@ -465,6 +493,7 @@ class PairwiseMergeSort:
         result: SortResult,
         score_blocks: int | None,
         rng: np.random.Generator,
+        partitions: bool = True,
         scratch: np.ndarray | None = None,
     ) -> tuple[np.ndarray, bool]:
         """One pairwise merge round of runs of length ``run``.
@@ -472,6 +501,7 @@ class PairwiseMergeSort:
         Returns ``(merged, used_scratch)``; when the native merge runs,
         ``merged`` lives in ``scratch`` (allocated here if not supplied)
         and the caller may recycle the retired pre-merge buffer.
+        ``partitions=False`` skips the β₁ probe counts (see :meth:`sort`).
         """
         cfg = self.config
         n = arr.size
@@ -520,9 +550,13 @@ class PairwiseMergeSort:
                 order = np.argsort(mat[rows], axis=1, kind="stable")
 
         if block_round:
-            self._score_block_round(n, run, result, scored, order, arr)
+            self._score_block_round(
+                n, run, result, scored, order, partitions, arr
+            )
         else:
-            self._score_global_round(mat, order, run, result, scored, native)
+            self._score_global_round(
+                mat, order, run, result, scored, native, partitions
+            )
 
         if merged is None:
             # A stable row sort yields exactly the values the stable
@@ -539,6 +573,7 @@ class PairwiseMergeSort:
         result: SortResult,
         score_blocks: int,
         rng: np.random.Generator,
+        partitions: bool = True,
     ) -> np.ndarray:
         """All block rounds of a sampled sort, merging only scored tiles.
 
@@ -562,7 +597,9 @@ class PairwiseMergeSort:
             pairs = tiles[scored].reshape(-1, 2 * run)
             _sort_rows(pairs.reshape(-1, run))
             order = np.argsort(pairs, axis=1, kind="stable")
-            self._score_block_round(arr.size, run, result, scored, order)
+            self._score_block_round(
+                arr.size, run, result, scored, order, partitions
+            )
             run *= 2
         _sort_rows(tiles)
         return arr
@@ -576,6 +613,7 @@ class PairwiseMergeSort:
         result: SortResult,
         scored: np.ndarray,
         order: np.ndarray | None,
+        partitions: bool = True,
         flat_pre: np.ndarray | None = None,
     ) -> None:
         """Score a block-level round of ``n`` elements: merges happen
@@ -589,7 +627,10 @@ class PairwiseMergeSort:
         oracle). ``order is None`` marks a native fused round: the merge
         already ran in the compiled backend, which also rebuilds each
         scored tile's interleaving. Only the loop oracle and the native
-        scorer read ``flat_pre``, the pre-merge values.
+        scorer read ``flat_pre``, the pre-merge values. With
+        ``partitions=False`` the numpy scorers count no β₁ probes and the
+        round's partition report is ``None``; the native kernel counts
+        them in the same pass, and :meth:`sort` drops its report.
         """
         cfg = self.config
         pair_width = 2 * run
@@ -598,7 +639,7 @@ class PairwiseMergeSort:
 
         if self.scoring == "loop":
             merge_report, part_report = self._block_reports_loop(
-                flat_pre, order, run, scored, pairs_per_tile
+                flat_pre, order, run, scored, pairs_per_tile, partitions
             )
         elif order is None:
             merge_report, part_report = fused_kernels.fused_block_reports(
@@ -612,9 +653,9 @@ class PairwiseMergeSort:
             addr_by_rank = order_tiles + pair_bases
             merge_report, part_report = self._counted_reports(
                 addr_by_rank,
-                lambda pos: block_probe_counts(
+                (lambda pos: block_probe_counts(
                     order_tiles[pos], run, cfg, self._layout
-                ),
+                )) if partitions else None,
             )
 
         result.rounds.append(
@@ -639,7 +680,8 @@ class PairwiseMergeSort:
         run: int,
         scored: np.ndarray,
         pairs_per_tile: int,
-    ) -> tuple[ConflictReport, ConflictReport]:
+        partitions: bool = True,
+    ) -> tuple[ConflictReport, ConflictReport | None]:
         """Tile-at-a-time reference implementation (the equivalence oracle)."""
         cfg = self.config
         pair_width = 2 * run
@@ -661,6 +703,8 @@ class PairwiseMergeSort:
                     )
                 )
             )
+            if not partitions:
+                continue
 
             # Thread-level partition: every thread bisects its diagonal of
             # its pair. Thread t -> pair (t·E // 2L), diagonal (t·E mod 2L).
@@ -686,7 +730,9 @@ class PairwiseMergeSort:
                     self._physical(stack_warp_steps(probe_steps, cfg.w))
                 )
 
-        return _score_stacked(merge_rows, cfg.w), _score_stacked(part_rows, cfg.w)
+        return _score_stacked(merge_rows, cfg.w), (
+            _score_stacked(part_rows, cfg.w) if partitions else None
+        )
 
     # -- global rounds -----------------------------------------------------
 
@@ -698,13 +744,15 @@ class PairwiseMergeSort:
         result: SortResult,
         scored: np.ndarray,
         native: bool,
+        partitions: bool = True,
     ) -> None:
         """Score a global round: each block merges a ``bE`` output quantile.
 
         ``order`` holds every pair row's merge order; only the loop oracle
         reads it. The other paths derive each scored block's A/B window
         split by merge-path binary search — in the compiled backend when
-        ``native``, else in :func:`global_block_windows`.
+        ``native``, else in :func:`global_block_windows`. ``partitions``
+        is as in :meth:`_score_block_round`.
         """
         cfg = self.config
         num_pairs, pair_width = mat.shape
@@ -714,7 +762,7 @@ class PairwiseMergeSort:
 
         if self.scoring == "loop":
             merge_report, part_report = self._global_reports_loop(
-                mat, order, run, scored, blocks_per_pair
+                mat, order, run, scored, blocks_per_pair, partitions
             )
         elif native:
             merge_report, part_report = fused_kernels.fused_global_reports(
@@ -729,9 +777,9 @@ class PairwiseMergeSort:
             # differently between windows, which changes the β₁ probes.
             merge_report, part_report = self._counted_reports(
                 local,
-                lambda pos: global_probe_counts(
+                (lambda pos: global_probe_counts(
                     local[pos], na[pos], cfg, self._layout
-                ),
+                )) if partitions else None,
                 extra=na,
             )
 
@@ -765,7 +813,8 @@ class PairwiseMergeSort:
         run: int,
         scored: np.ndarray,
         blocks_per_pair: int,
-    ) -> tuple[ConflictReport, ConflictReport]:
+        partitions: bool = True,
+    ) -> tuple[ConflictReport, ConflictReport | None]:
         """Block-at-a-time reference implementation (the equivalence oracle)."""
         cfg = self.config
 
@@ -793,6 +842,8 @@ class PairwiseMergeSort:
                     )
                 )
             )
+            if not partitions:
+                continue
 
             # β₁ stage: b threads bisect their diagonals over the tile.
             nb = cfg.tile_size - na
@@ -812,7 +863,9 @@ class PairwiseMergeSort:
                     self._physical(stack_warp_steps(probe_steps, cfg.w))
                 )
 
-        return _score_stacked(merge_rows, cfg.w), _score_stacked(part_rows, cfg.w)
+        return _score_stacked(merge_rows, cfg.w), (
+            _score_stacked(part_rows, cfg.w) if partitions else None
+        )
 
     # -- counted scoring -------------------------------------------------
 
@@ -821,26 +874,32 @@ class PairwiseMergeSort:
         patterns: np.ndarray,
         probe_fn,
         extra: np.ndarray | None = None,
-    ) -> tuple[ConflictReport, ConflictReport]:
+    ) -> tuple[ConflictReport, ConflictReport | None]:
         """A round's (merge, partition) reports from the counting kernels.
 
         ``patterns`` holds each scored tile's rank→address row;
         ``probe_fn(pos)`` runs :func:`probe_tile_counts` over the scored
-        tiles at positions ``pos``. ``extra`` is one more per-tile column
-        two tiles must share to count as one (the global rounds' A-window
-        length). A tile's counts are a pure function of its row (DESIGN.md
-        §14), so each run of adjacent equal rows is counted once — at its
-        first tile — and its counts are repeated over the run. The result
-        is the same single concatenated per-step segment, in scored order,
-        as counting every tile; a round with no repeated row does exactly
-        that.
+        tiles at positions ``pos``; ``probe_fn=None`` counts no probes and
+        returns ``None`` for the partition report. ``extra`` is one more
+        per-tile column two tiles must share to count as one (the global
+        rounds' A-window length). A tile's counts are a pure function of
+        its row (DESIGN.md §14), so each run of adjacent equal rows is
+        counted once — at its first tile — and its counts are repeated
+        over the run. The result is the same single concatenated per-step
+        segment, in scored order, as counting every tile; a round with no
+        repeated row does exactly that.
         """
         cfg = self.config
         starts, lengths = _adjacent_runs(patterns, extra)
         if starts.size == patterns.shape[0]:
+            merge_report = permutation_stage_report(
+                patterns, cfg.E, cfg.w, self._layout
+            )
+            if probe_fn is None:
+                return merge_report, None
             part_steps, _, accesses, requests, replays = probe_fn(slice(None))
             return (
-                permutation_stage_report(patterns, cfg.E, cfg.w, self._layout),
+                merge_report,
                 report_from_per_step(
                     cfg.w,
                     part_steps,
@@ -852,16 +911,19 @@ class PairwiseMergeSort:
         merge_steps, merge_replays = tile_merge_counts(
             patterns[starts], cfg.E, cfg.w, self._layout
         )
-        part_steps, tile_steps, accesses, requests, replays = probe_fn(starts)
         run_of_tile = np.repeat(np.arange(starts.size), lengths)
+        merge_report = report_from_per_step(
+            cfg.w,
+            merge_steps[run_of_tile].ravel(),
+            patterns.size,
+            patterns.size,
+            int(merge_replays @ lengths),
+        )
+        if probe_fn is None:
+            return merge_report, None
+        part_steps, tile_steps, accesses, requests, replays = probe_fn(starts)
         return (
-            report_from_per_step(
-                cfg.w,
-                merge_steps[run_of_tile].ravel(),
-                patterns.size,
-                patterns.size,
-                int(merge_replays @ lengths),
-            ),
+            merge_report,
             report_from_per_step(
                 cfg.w,
                 _repeat_segments(part_steps, tile_steps, lengths),
@@ -1004,6 +1066,12 @@ def global_block_windows(
     src += np.where(slot >= na[:, None], b_shift[:, None], 0)
     local = np.argsort(flat[src], axis=1, kind="stable")
     return local, na
+
+
+def _merge_only(result: SortResult) -> SortResult:
+    """``result`` with every round's partition report dropped."""
+    result.rounds = [replace(r, partition_report=None) for r in result.rounds]
+    return result
 
 
 def _has_both_zeros(arr: np.ndarray) -> bool:

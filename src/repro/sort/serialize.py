@@ -151,7 +151,7 @@ def round_to_obj(stats: RoundStats) -> dict:
         "kind": stats.kind,
         "run_length": int(stats.run_length),
         "merge_report": report_to_obj(stats.merge_report),
-        "partition_report": report_to_obj(stats.partition_report),
+        "partition_report": report_to_obj(stats.counted_partition_report),
         "staging_report": report_to_obj(stats.staging_report),
         "global_traffic": {
             "transactions": int(stats.global_traffic.transactions),

@@ -161,3 +161,56 @@ class TestUnmergeOffTargetValidation:
             unmerge_through_rounds(
                 small_config, values, assignment, off_target=off_target
             )
+
+
+class TestIdentityPath:
+    """With keys ``arange(N)`` the cascade's index is the input: default
+    constructions return it directly instead of gathering through it,
+    byte for byte what the gather gives."""
+
+    @pytest.mark.parametrize("tiles", [1, 2, 8])
+    def test_worst_case_equals_the_gather(self, tiles):
+        from repro.adversary.assignment import construct_warp_assignment
+        from repro.adversary.family import random_family_member
+        from repro.adversary.permutation import unmerge_through_rounds
+
+        cfg = SortConfig(elements_per_thread=7, block_size=32, warp_size=16)
+        n = cfg.tile_size * tiles
+        base = construct_warp_assignment(cfg.w, cfg.E)
+        for assignment in (base, random_family_member(base, seed=3)):
+            direct = worst_case_permutation(cfg, n, assignment=assignment)
+            gathered = unmerge_through_rounds(
+                cfg, np.arange(n, dtype=np.int64), assignment
+            )
+            assert direct.dtype == gathered.dtype == np.int64
+            assert direct.tobytes() == gathered.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_conflict_heavy_equals_the_gather(self, seed):
+        from repro.adversary.assignment import construct_warp_assignment
+        from repro.adversary.permutation import unmerge_through_rounds
+        from repro.inputs.generators import conflict_heavy_input
+
+        cfg = SortConfig(elements_per_thread=7, block_size=32, warp_size=16)
+        n = cfg.tile_size * 8
+        direct = conflict_heavy_input(cfg, n, seed=seed)
+        gathered = unmerge_through_rounds(
+            cfg,
+            np.arange(n, dtype=np.int64),
+            construct_warp_assignment(cfg.w, cfg.E),
+            target_runs={n // 2, n // 4},
+            off_target="random",
+            seed=seed,
+        )
+        assert direct.dtype == gathered.dtype == np.int64
+        assert direct.tobytes() == gathered.tobytes()
+
+    def test_index_is_a_permutation(self):
+        from repro.adversary.assignment import construct_warp_assignment
+        from repro.adversary.permutation import unmerge_index
+
+        cfg = SortConfig(elements_per_thread=3, block_size=8, warp_size=4)
+        n = cfg.tile_size * 4
+        index = unmerge_index(cfg, n, construct_warp_assignment(cfg.w, cfg.E))
+        assert index.dtype == np.intp
+        assert np.array_equal(np.sort(index), np.arange(n))

@@ -84,3 +84,73 @@ class TestVerifyFamily:
         cfg = SortConfig(elements_per_thread=3, block_size=8, warp_size=4)
         with pytest.raises(ValidationError):
             verify_family(cfg, cfg.tile_size * 2, 0)
+
+
+class TestMergeOnlyVerification:
+    """Verification sorts merge-only: the theorems bound the merge stage,
+    so the partition-stage (β₁) probes are never counted."""
+
+    PRESETS = ("thrust-maxwell", "mgpu-maxwell", "thrust-cc60", "mgpu-cc60")
+
+    @staticmethod
+    def _inputs(cfg, n):
+        from repro.adversary.assignment import construct_warp_assignment
+        from repro.adversary.family import random_family_member
+
+        base = construct_warp_assignment(cfg.w, cfg.E)
+        yield worst_case_permutation(cfg, n)
+        for seed in (1, 2):
+            member = random_family_member(base, seed=seed)
+            yield worst_case_permutation(cfg, n, assignment=member)
+
+    @pytest.mark.parametrize("name", PRESETS)
+    @pytest.mark.parametrize("tiles", [1, 8, 32])
+    @pytest.mark.parametrize("score_blocks", [None, 4])
+    def test_reports_equal_the_full_sorts(
+        self, monkeypatch, name, tiles, score_blocks
+    ):
+        from repro.sort.pairwise import PairwiseMergeSort
+        from repro.sort.presets import preset
+
+        cfg = preset(name)
+        values = list(self._inputs(cfg, cfg.tile_size * tiles))
+        merge_only = [
+            verify_worst_case(cfg, v, score_blocks=score_blocks)
+            for v in values
+        ]
+        full_sort = PairwiseMergeSort.sort
+
+        def always_full(self, data, *, partitions=True, **kwargs):
+            return full_sort(self, data, **kwargs)
+
+        monkeypatch.setattr(PairwiseMergeSort, "sort", always_full)
+        full = [
+            verify_worst_case(cfg, v, score_blocks=score_blocks)
+            for v in values
+        ]
+        assert merge_only == full
+        assert all(report.ok for report in full)
+
+    def test_never_counts_probes(self, monkeypatch, cfg):
+        import repro.mergepath.partition as partition_mod
+        import repro.sort.pairwise as pairwise_mod
+        from repro.adversary.verify import verify_family
+
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        original = partition_mod.probe_tile_counts
+        monkeypatch.setattr(pairwise_mod, "probe_tile_counts", spy)
+        monkeypatch.setattr(partition_mod, "probe_tile_counts", spy)
+        n = cfg.tile_size * 8
+        perm = worst_case_permutation(cfg, n)
+        for score_blocks in (None, 4):
+            assert verify_worst_case(cfg, perm, score_blocks=score_blocks).ok
+        assert all(r.ok for r in verify_family(cfg, n, 2))
+        assert not calls
+        # The spy sees the probes of a full sort.
+        pairwise_mod.PairwiseMergeSort(cfg).sort(perm, score_blocks=4)
+        assert calls

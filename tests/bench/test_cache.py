@@ -467,8 +467,8 @@ class TestOneLayoutOneFingerprint:
 
     @pytest.mark.parametrize(
         "spellings",
-        [("padding:1", "padding"), ("cfree-sort",)],
-        ids=["padding:1", "cfree-sort"],
+        [("padding:1", "padding"), ("none", "padding:0"), ("cfree-sort",)],
+        ids=["padding:1", "none", "cfree-sort"],
     )
     def test_every_entry_point_agrees(self, tmp_path, spellings):
         from repro.mitigation import create_mitigation

@@ -201,10 +201,13 @@ class TestRequiredRows:
     it vacuously."""
 
     def test_present_rows_pass(self, tmp_path):
+        numpy = {"backend": "numpy"}
         proc = run_gate(
             tmp_path,
-            doc({"exact": {"seconds": 0.11}, "sweep": {"seconds": 0.2}}),
-            doc({"exact": {"seconds": 0.10}, "sweep": {"seconds": 0.2}}),
+            doc({"exact": {"seconds": 0.11, **numpy},
+                 "sweep": {"seconds": 0.2, **numpy}}),
+            doc({"exact": {"seconds": 0.10, **numpy},
+                 "sweep": {"seconds": 0.2, **numpy}}),
             "--require", "exact,sweep",
         )
         assert proc.returncode == 0
@@ -248,3 +251,66 @@ class TestRequiredRows:
             doc({"exact": {"seconds": 0.10}, "gone": {"seconds": 0.5}}),
         )
         assert proc.returncode == 0
+
+
+class TestBackends:
+    """A timing gates only against a baseline measured on the same
+    backend; a required row must name its backend on both sides."""
+
+    @staticmethod
+    def row(seconds, backend=None):
+        entry = {"seconds": seconds}
+        if backend is not None:
+            entry["backend"] = backend
+        return entry
+
+    def test_same_backend_gates(self, tmp_path):
+        proc = run_gate(
+            tmp_path,
+            doc({"exact": self.row(0.30, "native")}),
+            doc({"exact": self.row(0.10, "native")}),
+            "--require", "exact",
+        )
+        assert proc.returncode == 1
+        assert "3.00x" in proc.stderr
+
+    def test_required_row_without_backend_fails(self, tmp_path):
+        for current, baseline, side in (
+            (self.row(0.10), self.row(0.10, "numpy"), "current"),
+            (self.row(0.10, "numpy"), self.row(0.10), "baseline"),
+        ):
+            proc = run_gate(
+                tmp_path, doc({"exact": current}), doc({"exact": baseline}),
+                "--require", "exact",
+            )
+            assert proc.returncode == 1
+            assert f"names no backend in the {side} document" in proc.stderr
+
+    def test_required_row_on_another_backend_fails(self, tmp_path):
+        """A native run of a numpy-recorded row must not pass just
+        because native is faster."""
+        proc = run_gate(
+            tmp_path,
+            doc({"exact": self.row(0.01, "native")}),
+            doc({"exact": self.row(0.10, "numpy")}),
+            "--require", "exact",
+        )
+        assert proc.returncode == 1
+        assert "measured on backend native" in proc.stderr
+        assert "recorded on numpy" in proc.stderr
+
+    def test_unrequired_backend_mismatch_is_not_gated(self, tmp_path):
+        proc = run_gate(
+            tmp_path,
+            doc({"exact": self.row(0.50, "numpy")}),
+            doc({"exact": self.row(0.10, "native")}),
+        )
+        assert proc.returncode == 0
+        assert "not gated" in proc.stderr
+
+    def test_committed_rows_all_name_a_backend(self):
+        baseline = json.loads(
+            (SCRIPT.parent.parent / "BENCH_simulator.json").read_text()
+        )
+        for name, entry in baseline["timings"].items():
+            assert entry.get("backend") in ("numpy", "native"), name
